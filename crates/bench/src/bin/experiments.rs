@@ -1,142 +1,37 @@
 //! Regenerates the experiment tables of EXPERIMENTS.md.
 //!
 //! ```text
-//! experiments            # run everything
-//! experiments e2 e6      # run selected experiments
-//! experiments --json out.json e5a
-//! experiments --chrome-trace trace.json e12
-//! experiments --bench-json BENCH_E14.json e14
-//! experiments --quota-json BENCH_E15.json e15
-//! experiments --profile-json BENCH_E16.json --profile-flame e16-flame.txt e16
-//! experiments --infer-json BENCH_E17.json --infer-policy inferred.policy --infer-diff e17-diff.json e17
-//! experiments --interp-json BENCH_E18.json e18
-//! experiments --control-json BENCH_E19.json e19
-//! experiments --memgov-json BENCH_E20.json e20
+//! experiments                  # run everything, print the tables
+//! experiments e2 e6            # run selected experiments
+//! experiments --out docs       # run everything, write every artifact to
+//!                              # docs/, read them back, check the gates
+//! experiments --out DIR e14    # the same for selected experiments
 //! ```
+//!
+//! `--out DIR` writes `experiments-run.txt` and `experiments-run.json` for
+//! the whole run plus each experiment's own artifacts (`BENCH_E14.json`,
+//! `e16-flame.txt`, ...), then checks them against `jmp_bench::gates` and
+//! exits 1 naming each failed gate.
 
-use std::io::Write;
+use std::path::PathBuf;
+
+fn usage(problem: &str) -> ! {
+    eprintln!(
+        "{problem}\nusage: experiments [--out DIR] [ID...]; known ids: {}",
+        jmp_bench::EXPERIMENT_IDS.join(", ")
+    );
+    std::process::exit(2);
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut json_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
+    let mut out: Option<PathBuf> = None;
+    if let Some(pos) = args.iter().position(|a| a == "--out") {
         args.remove(pos);
-        if pos < args.len() {
-            json_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--json needs a file path");
-            std::process::exit(2);
+        if pos == args.len() {
+            usage("--out needs a directory");
         }
-    }
-    let mut bench_json_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--bench-json") {
-        args.remove(pos);
-        if pos < args.len() {
-            bench_json_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--bench-json needs a file path");
-            std::process::exit(2);
-        }
-    }
-    let mut quota_json_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--quota-json") {
-        args.remove(pos);
-        if pos < args.len() {
-            quota_json_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--quota-json needs a file path");
-            std::process::exit(2);
-        }
-    }
-    let mut profile_json_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--profile-json") {
-        args.remove(pos);
-        if pos < args.len() {
-            profile_json_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--profile-json needs a file path");
-            std::process::exit(2);
-        }
-    }
-    let mut profile_flame_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--profile-flame") {
-        args.remove(pos);
-        if pos < args.len() {
-            profile_flame_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--profile-flame needs a file path");
-            std::process::exit(2);
-        }
-    }
-    let mut infer_json_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--infer-json") {
-        args.remove(pos);
-        if pos < args.len() {
-            infer_json_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--infer-json needs a file path");
-            std::process::exit(2);
-        }
-    }
-    let mut infer_policy_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--infer-policy") {
-        args.remove(pos);
-        if pos < args.len() {
-            infer_policy_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--infer-policy needs a file path");
-            std::process::exit(2);
-        }
-    }
-    let mut infer_diff_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--infer-diff") {
-        args.remove(pos);
-        if pos < args.len() {
-            infer_diff_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--infer-diff needs a file path");
-            std::process::exit(2);
-        }
-    }
-    let mut interp_json_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--interp-json") {
-        args.remove(pos);
-        if pos < args.len() {
-            interp_json_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--interp-json needs a file path");
-            std::process::exit(2);
-        }
-    }
-    let mut control_json_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--control-json") {
-        args.remove(pos);
-        if pos < args.len() {
-            control_json_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--control-json needs a file path");
-            std::process::exit(2);
-        }
-    }
-    let mut memgov_json_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--memgov-json") {
-        args.remove(pos);
-        if pos < args.len() {
-            memgov_json_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--memgov-json needs a file path");
-            std::process::exit(2);
-        }
-    }
-    let mut chrome_path: Option<String> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--chrome-trace") {
-        args.remove(pos);
-        if pos < args.len() {
-            chrome_path = Some(args.remove(pos));
-        } else {
-            eprintln!("--chrome-trace needs a file path");
-            std::process::exit(2);
-        }
+        out = Some(args.remove(pos).into());
     }
     let ids: Vec<String> = if args.is_empty() {
         jmp_bench::EXPERIMENT_IDS
@@ -146,221 +41,47 @@ fn main() {
     } else {
         args
     };
+    if let Some(id) = ids
+        .iter()
+        .find(|id| !jmp_bench::EXPERIMENT_IDS.contains(&id.to_ascii_lowercase().as_str()))
+    {
+        usage(&format!("unknown experiment or option {id:?}"));
+    }
 
-    // When a data-plane summary was requested, run E14 once and reuse its
-    // tables for the report, so the JSON and the printed tables describe
-    // the same run.
-    let e14_full = bench_json_path
-        .as_ref()
-        .map(|_| jmp_bench::exp_throughput::e14_data_plane_full());
-    // Same single-run discipline for the E15 quota-storm summary.
-    let e15_full = quota_json_path
-        .as_ref()
-        .map(|_| jmp_bench::exp_quota::e15_quota_storm_full());
-    // And for the E16 profile artifacts (either flag triggers the run).
-    let e16_full = (profile_json_path.is_some() || profile_flame_path.is_some())
-        .then(jmp_bench::exp_profile::e16_profile_full);
-    // And for the E17 inference artifacts (any of the three flags).
-    let e17_full =
-        (infer_json_path.is_some() || infer_policy_path.is_some() || infer_diff_path.is_some())
-            .then(jmp_bench::exp_infer::e17_infer_full);
-    // And for the E18 interpreter summary.
-    let e18_full = interp_json_path
-        .as_ref()
-        .map(|_| jmp_bench::exp_interp::e18_interp_full());
-    // And for the E19 control-plane scale-out summary.
-    let e19_full = control_json_path
-        .as_ref()
-        .map(|_| jmp_bench::exp_control::e19_control_full());
-    // And for the E20 memory-governance summary.
-    let e20_full = memgov_json_path
-        .as_ref()
-        .map(|_| jmp_bench::exp_memgov::e20_memgov_full());
-
-    let mut all_tables = Vec::new();
+    let mut tables = Vec::new();
+    let mut artifacts = Vec::new();
     for id in &ids {
-        let already_ran = match id.to_ascii_lowercase().as_str() {
-            "e14" => e14_full.as_ref().map(|(tables, _)| tables.clone()),
-            "e15" => e15_full.as_ref().map(|(tables, _)| tables.clone()),
-            "e16" => e16_full.as_ref().map(|(tables, _)| tables.clone()),
-            "e17" => e17_full.as_ref().map(|(tables, _)| tables.clone()),
-            "e18" => e18_full.as_ref().map(|(tables, _)| tables.clone()),
-            "e19" => e19_full.as_ref().map(|(tables, _)| tables.clone()),
-            "e20" => e20_full.as_ref().map(|(tables, _)| tables.clone()),
-            _ => None,
-        };
-        let tables = already_ran.or_else(|| jmp_bench::run_experiment(id));
-        match tables {
-            Some(tables) => {
-                for table in tables {
-                    println!("{table}");
-                    all_tables.push(table);
-                }
-            }
-            None => {
-                eprintln!(
-                    "unknown experiment {id:?}; known: {}",
-                    jmp_bench::EXPERIMENT_IDS.join(", ")
-                );
-                std::process::exit(2);
-            }
+        let report = jmp_bench::run_experiment(id).expect("id was validated");
+        for table in &report.tables {
+            println!("{table}");
         }
+        tables.extend(report.tables);
+        artifacts.extend(report.artifacts);
     }
+    let Some(dir) = out else {
+        return;
+    };
+    artifacts.extend(jmp_bench::run_artifacts(tables));
 
-    if let Some(path) = bench_json_path {
-        // The E14 data-plane summary: scalar throughput/wakeup numbers plus
-        // the tables they came from, for CI threshold checks.
-        #[derive(serde::Serialize)]
-        struct BenchRun {
-            summary: jmp_bench::exp_throughput::E14Summary,
-            tables: Vec<jmp_bench::table::Table>,
-        }
-        let (tables, summary) = e14_full.expect("e14 ran for --bench-json");
-        let run = BenchRun { summary, tables };
-        let json = serde_json::to_string_pretty(&run).expect("bench summary serializes");
-        std::fs::write(&path, json).expect("write bench json output");
-        eprintln!("wrote {path}");
+    std::fs::create_dir_all(&dir).expect("create the output directory");
+    let mut files = Vec::new();
+    for artifact in &artifacts {
+        let path = dir.join(artifact.name);
+        std::fs::write(&path, &artifact.contents).expect("write artifact");
+        let read = std::fs::read_to_string(&path).expect("read artifact back");
+        eprintln!("wrote {}", path.display());
+        files.push((artifact.name, read));
     }
-
-    if let Some(path) = quota_json_path {
-        // The E15 quota-storm summary: victim-latency containment and
-        // enforcement accounting plus the tables, for CI threshold checks.
-        #[derive(serde::Serialize)]
-        struct QuotaRun {
-            summary: jmp_bench::exp_quota::E15Summary,
-            tables: Vec<jmp_bench::table::Table>,
-        }
-        let (tables, summary) = e15_full.expect("e15 ran for --quota-json");
-        let run = QuotaRun { summary, tables };
-        let json = serde_json::to_string_pretty(&run).expect("quota summary serializes");
-        std::fs::write(&path, json).expect("write quota json output");
-        eprintln!("wrote {path}");
+    let (checked, failures) = jmp_bench::gates::check(&files);
+    for failure in &failures {
+        eprintln!("gate FAILED: {failure}");
     }
-
-    if profile_json_path.is_some() || profile_flame_path.is_some() {
-        let (_, artifacts) = e16_full.expect("e16 ran for --profile-json/--profile-flame");
-        if let Some(path) = profile_json_path {
-            // The E16 profile artifacts: the scalar summary (CI gates the
-            // overhead), plus the full per-app/VM-wide ProfileReport.
-            let json =
-                serde_json::to_string_pretty(&artifacts).expect("profile artifacts serialize");
-            std::fs::write(&path, json).expect("write profile json output");
-            eprintln!("wrote {path}");
-        }
-        if let Some(path) = profile_flame_path {
-            // flamegraph.pl-compatible collapsed stacks of the same run.
-            std::fs::write(&path, &artifacts.flamegraph).expect("write flamegraph output");
-            eprintln!("wrote {path}");
-        }
-    }
-
-    if infer_json_path.is_some() || infer_policy_path.is_some() || infer_diff_path.is_some() {
-        let (tables, artifacts) = e17_full.expect("e17 ran for --infer-*");
-        if let Some(path) = infer_json_path {
-            // The E17 inference summary plus its tables: CI gates on zero
-            // replay denials and the strict grant-count reduction.
-            #[derive(serde::Serialize)]
-            struct InferRun {
-                summary: jmp_bench::exp_infer::E17Summary,
-                tables: Vec<jmp_bench::table::Table>,
-            }
-            let run = InferRun {
-                summary: artifacts.summary.clone(),
-                tables,
-            };
-            let json = serde_json::to_string_pretty(&run).expect("infer summary serializes");
-            std::fs::write(&path, json).expect("write infer json output");
-            eprintln!("wrote {path}");
-        }
-        if let Some(path) = infer_policy_path {
-            // The inferred least-privilege policy, loadable by Policy::parse.
-            std::fs::write(&path, &artifacts.policy_text).expect("write inferred policy");
-            eprintln!("wrote {path}");
-        }
-        if let Some(path) = infer_diff_path {
-            // The exercised-vs-configured diff of the hand-written policy.
-            let json = serde_json::to_string_pretty(&artifacts.diff).expect("diff serializes");
-            std::fs::write(&path, json).expect("write infer diff output");
-            eprintln!("wrote {path}");
-        }
-    }
-
-    if let Some(path) = interp_json_path {
-        // The E18 interpreter summary: seed-vs-pre-decoded speedups, the
-        // fusion ratio, and the differential-corpus verdict, plus the
-        // tables, for CI threshold checks.
-        #[derive(serde::Serialize)]
-        struct InterpRun {
-            summary: jmp_bench::exp_interp::E18Summary,
-            tables: Vec<jmp_bench::table::Table>,
-        }
-        let (tables, summary) = e18_full.expect("e18 ran for --interp-json");
-        let run = InterpRun { summary, tables };
-        let json = serde_json::to_string_pretty(&run).expect("interp summary serializes");
-        std::fs::write(&path, json).expect("write interp json output");
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = control_json_path {
-        // The E19 control-plane summary: per-op latency vs fleet size and
-        // the lazy-store accounting, plus the tables, for CI threshold
-        // checks.
-        #[derive(serde::Serialize)]
-        struct ControlRun {
-            summary: jmp_bench::exp_control::E19Summary,
-            tables: Vec<jmp_bench::table::Table>,
-        }
-        let (tables, summary) = e19_full.expect("e19 ran for --control-json");
-        let run = ControlRun { summary, tables };
-        let json = serde_json::to_string_pretty(&run).expect("control summary serializes");
-        std::fs::write(&path, json).expect("write control json output");
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = memgov_json_path {
-        // The E20 memory-governance summary: bomb containment, checkpoint
-        // fidelity, and accounting overhead, plus the tables, for CI
-        // threshold checks.
-        #[derive(serde::Serialize)]
-        struct MemGovRun {
-            summary: jmp_bench::exp_memgov::E20Summary,
-            tables: Vec<jmp_bench::table::Table>,
-        }
-        let (tables, summary) = e20_full.expect("e20 ran for --memgov-json");
-        let run = MemGovRun { summary, tables };
-        let json = serde_json::to_string_pretty(&run).expect("memgov summary serializes");
-        std::fs::write(&path, json).expect("write memgov json output");
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = json_path {
-        // Alongside the tables, dump a metrics snapshot and profiler report
-        // of the E11 scripted session so the run is inspectable offline
-        // (hub counters, histograms, event and audit totals, opcode mix,
-        // sampled stacks).
-        #[derive(serde::Serialize)]
-        struct Run {
-            tables: Vec<jmp_bench::table::Table>,
-            metrics: jmp_obs::HubSnapshot,
-            profile: jmp_obs::ProfileReport,
-        }
-        let (metrics, profile) = jmp_bench::exp_obs::session_snapshot();
-        let run = Run {
-            tables: all_tables,
-            metrics,
-            profile,
-        };
-        let json = serde_json::to_string_pretty(&run).expect("tables serialize");
-        let mut file = std::fs::File::create(&path).expect("create json output");
-        file.write_all(json.as_bytes()).expect("write json output");
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = chrome_path {
-        // A Chrome trace_event export of the scripted trace scenario —
-        // loadable in chrome://tracing or Perfetto.
-        let json = jmp_bench::exp_trace::chrome_trace_sample();
-        std::fs::write(&path, json).expect("write chrome trace output");
-        eprintln!("wrote {path}");
+    eprintln!(
+        "gates: {checked} checked, {} failed, over {} artifacts",
+        failures.len(),
+        files.len()
+    );
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }

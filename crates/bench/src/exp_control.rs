@@ -27,7 +27,8 @@ use jmp_core::MpRuntime;
 use jmp_security::{FileActions, LazyUserStore, Permission, TemplateGrantSource};
 
 use crate::harness::{register_app, standard_runtime};
-use crate::table::Table;
+use crate::table::{ok, Table};
+use crate::Report;
 
 /// The small-fleet baseline.
 const SMALL_FLEET: usize = 10;
@@ -58,14 +59,6 @@ const BATCH_ITERS: usize = 2_048;
 /// Acceptance gate of the full run: large-fleet medians within 1.5x of the
 /// small-fleet baselines.
 const FULL_GATE: f64 = 1.5;
-
-fn ok(flag: bool) -> &'static str {
-    if flag {
-        "ok"
-    } else {
-        "FAILED"
-    }
-}
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -189,8 +182,8 @@ fn divergence_sweep(rt: &MpRuntime) -> usize {
     divergences
 }
 
-/// Machine-readable summary of the E19 run (for `--control-json`).
-#[derive(Debug, Clone, serde::Serialize)]
+/// Machine-readable summary of the E19 run (`BENCH_E19.json`).
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct E19Summary {
     /// Applications resident during the baseline measurements.
     pub small_fleet: usize,
@@ -231,8 +224,9 @@ pub struct E19Summary {
     pub divergences: usize,
 }
 
-/// Runs the scale-out storm at the given large-fleet size and gate.
-fn run_control(large_fleet: usize, gate: f64) -> (Vec<Table>, E19Summary) {
+/// Runs the scale-out storm at the given large-fleet size and gate: the
+/// tables plus `BENCH_E19.json`.
+fn run_control(large_fleet: usize, gate: f64) -> Report {
     let rt = standard_runtime(None);
     register_app(&rt, "burst", |_| Ok(()));
     register_app(&rt, "parker", |_| {
@@ -435,17 +429,12 @@ fn run_control(large_fleet: usize, gate: f64) -> (Vec<Table>, E19Summary) {
         store_loads: loads,
         divergences,
     };
-    (vec![e19a, e19b], summary)
+    Report::bench("BENCH_E19.json", &summary, vec![e19a, e19b])
 }
 
-/// Runs E19 at full scale and returns both the tables and the summary.
-pub fn e19_control_full() -> (Vec<Table>, E19Summary) {
+/// Runs E19 at full scale.
+pub fn e19_control() -> Report {
     run_control(LARGE_FLEET, FULL_GATE)
-}
-
-/// Runs E19 (tables only).
-pub fn e19_control() -> Vec<Table> {
-    e19_control_full().0
 }
 
 #[cfg(test)]
@@ -462,7 +451,9 @@ mod tests {
     #[test]
     fn e19_control_plane_stays_flat_and_the_store_stays_bounded() {
         let _serial = crate::harness::latency_test_guard();
-        let (tables, summary) = run_control(TEST_LARGE_FLEET, TEST_GATE);
+        let report = run_control(TEST_LARGE_FLEET, TEST_GATE);
+        let tables = &report.tables;
+        let summary: E19Summary = report.summary("BENCH_E19.json");
         assert_eq!(tables.len(), 2);
         assert!(
             !tables

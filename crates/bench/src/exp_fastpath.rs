@@ -16,8 +16,8 @@ use jmp_security::{
 };
 use jmp_vm::{stack, Vm};
 
-use crate::harness::standard_runtime;
-use crate::table::{fmt_ns, Table};
+use crate::harness::{round_minima, standard_runtime, time_ns};
+use crate::table::{fmt_ns, ok, Table};
 
 /// Cold iterations (each preceded by a cache flush) and warm iterations,
 /// per measurement pass; the best of [`PASSES`] passes is reported
@@ -82,30 +82,26 @@ fn latency_table() -> Table {
     for depth in [1usize, 4, 8, 16, 24] {
         let vm = Vm::builder().policy(bench_policy()).build();
         let domains = bench_domains(&vm, depth);
-        let (cold_ns, warm_ns) = with_frames(&domains, || {
+        let [cold_ns, warm_ns] = with_frames(&domains, || {
             // Prime once so lazy structures (permission indexes, interned
             // ids) are built before either measurement.
             vm.access_check(&demand).expect("policy grants the demand");
-            let mut cold_ns = f64::INFINITY;
-            let mut warm_ns = f64::INFINITY;
-            for _ in 0..PASSES {
-                let mut cold_total = 0u64;
+            let check = || {
+                vm.access_check(&demand).expect("granted");
+            };
+            round_minima(PASSES, || {
+                let mut cold_total = 0.0;
                 for _ in 0..COLD_ITERS {
                     vm.flush_access_cache();
-                    let start = Instant::now();
-                    vm.access_check(&demand).expect("granted");
-                    cold_total += start.elapsed().as_nanos() as u64;
+                    cold_total += time_ns(check);
                 }
-                cold_ns = cold_ns.min(cold_total as f64 / f64::from(COLD_ITERS));
-                vm.access_check(&demand).expect("granted"); // re-prime
-                let start = Instant::now();
-                for _ in 0..WARM_ITERS {
-                    vm.access_check(&demand).expect("granted");
-                }
-                let warm_total = start.elapsed().as_nanos() as u64;
-                warm_ns = warm_ns.min(warm_total as f64 / f64::from(WARM_ITERS));
-            }
-            (cold_ns, warm_ns)
+                check(); // re-prime
+                let warm_total = time_ns(|| (0..WARM_ITERS).for_each(|_| check()));
+                [
+                    cold_total / f64::from(COLD_ITERS),
+                    warm_total / f64::from(WARM_ITERS),
+                ]
+            })
         });
         table.rowd(&[
             depth.to_string(),
@@ -248,14 +244,6 @@ fn reload_table() -> Table {
     table.note("entries; every stale decision dies at once and the next check of each");
     table.note("(context, demand, user) triple re-derives under the new policy.");
     table
-}
-
-fn ok(flag: bool) -> &'static str {
-    if flag {
-        "ok"
-    } else {
-        "FAILED"
-    }
 }
 
 /// E13: the experiment tables.

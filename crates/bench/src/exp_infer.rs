@@ -14,15 +14,14 @@
 //!   latency with the demand ledger recording vs disabled, on the E13
 //!   fast-path bench. The acceptance target is <= 5% overhead.
 
-use std::time::Instant;
-
 use jmp_core::MpRuntime;
-use jmp_security::{grant_count, FileActions, Permission, Policy, PolicyDiffRow};
+use jmp_security::{grant_count, FileActions, Permission, Policy};
 use jmp_vm::Vm;
 
 use crate::exp_fastpath::{bench_domains, bench_policy, with_frames};
-use crate::harness::{experiment_policy, standard_runtime};
-use crate::table::{fmt_ns, Table};
+use crate::harness::{experiment_policy, round_minima, standard_runtime, time_ns};
+use crate::table::{fmt_ns, ok, Table};
+use crate::{Artifact, Report};
 
 /// Warm iterations per pass and passes for the E17b overhead measurement
 /// (minimum-of-passes, matching E13a).
@@ -33,14 +32,6 @@ const STACK_DEPTH: usize = 8;
 /// The E17b acceptance target: ledger-on warm checks within this percentage
 /// of ledger-off.
 const OVERHEAD_TARGET_PCT: f64 = 5.0;
-
-fn ok(flag: bool) -> &'static str {
-    if flag {
-        "ok"
-    } else {
-        "FAILED"
-    }
-}
 
 /// Launches `class` as `user` and waits for it; panics on launch failure
 /// (the harness is trusted, only policy decisions inside the app vary).
@@ -111,8 +102,8 @@ fn replay_under(policy: Policy) -> Replay {
     }
 }
 
-/// Machine-readable summary of the E17 run (for `--infer-json`).
-#[derive(Debug, Clone, serde::Serialize)]
+/// Machine-readable summary of the E17 run (`BENCH_E17.json`).
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct E17Summary {
     /// Distinct demand-ledger rows after the training workload + probes.
     pub demand_rows: usize,
@@ -141,19 +132,6 @@ pub struct E17Summary {
     pub ledger_overhead_pct: f64,
 }
 
-/// The full E17 artifacts: the scalar summary, the inferred policy text
-/// (`--infer-policy`), and the exercised-vs-configured diff
-/// (`--infer-diff`).
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct E17Artifacts {
-    /// Scalar summary (CI gates on this).
-    pub summary: E17Summary,
-    /// The inferred policy in policy-file syntax, with provenance header.
-    pub policy_text: String,
-    /// Per-entry diff of the hand-written policy against the ledger.
-    pub diff: Vec<PolicyDiffRow>,
-}
-
 /// Measures the E13a warm path at [`STACK_DEPTH`] with the demand ledger
 /// in the given state. Minimum-of-passes nanoseconds per check.
 fn warm_ns(ledger_on: bool) -> f64 {
@@ -163,21 +141,22 @@ fn warm_ns(ledger_on: bool) -> f64 {
     let demand = Permission::file("/data/report.txt", FileActions::READ);
     with_frames(&domains, || {
         vm.access_check(&demand).expect("policy grants the demand");
-        let mut best = f64::INFINITY;
-        for _ in 0..PASSES {
-            let start = Instant::now();
-            for _ in 0..WARM_ITERS {
-                vm.access_check(&demand).expect("granted");
-            }
-            let total = start.elapsed().as_nanos() as u64;
-            best = best.min(total as f64 / f64::from(WARM_ITERS));
-        }
+        let [best] = round_minima(PASSES, || {
+            let total = time_ns(|| {
+                for _ in 0..WARM_ITERS {
+                    vm.access_check(&demand).expect("granted");
+                }
+            });
+            [total / f64::from(WARM_ITERS)]
+        });
         best
     })
 }
 
-/// Runs E17 and returns both the tables and the artifacts.
-pub fn e17_infer_full() -> (Vec<Table>, E17Artifacts) {
+/// Runs E17: the tables plus `BENCH_E17.json`, the inferred policy
+/// (`e17-inferred.policy`, with a provenance header) and the
+/// exercised-vs-configured diff of the hand-written one (`e17-diff.json`).
+pub fn e17_infer() -> Report {
     // --- Training: the hand-written policy observes the workload. ---
     let rt = standard_runtime(None);
     let workload_ok = granted_workload(&rt);
@@ -305,17 +284,15 @@ pub fn e17_infer_full() -> (Vec<Table>, E17Artifacts) {
         warm_ns_ledger_off: off_ns,
         ledger_overhead_pct: overhead_pct,
     };
-    let artifacts = E17Artifacts {
-        summary,
-        policy_text,
-        diff,
-    };
-    (vec![e17a, e17b], artifacts)
-}
-
-/// Runs E17 (tables only).
-pub fn e17_infer() -> Vec<Table> {
-    e17_infer_full().0
+    let mut report = Report::bench("BENCH_E17.json", &summary, vec![e17a, e17b]);
+    report.artifacts.push(Artifact {
+        name: "e17-inferred.policy",
+        contents: policy_text,
+    });
+    report
+        .artifacts
+        .push(Artifact::json("e17-diff.json", &diff));
+    report
 }
 
 #[cfg(test)]
@@ -325,9 +302,10 @@ mod tests {
     #[test]
     fn e17_infers_a_strictly_smaller_policy_with_zero_spurious_denials() {
         let _serial = crate::harness::latency_test_guard();
-        let (tables, artifacts) = e17_infer_full();
+        let report = e17_infer();
+        let tables = &report.tables;
         assert_eq!(tables.len(), 2);
-        let summary = &artifacts.summary;
+        let summary: E17Summary = report.summary("BENCH_E17.json");
         // E17a rows are all functional; none may fail. (E17b's latency
         // verdict is WARN-only: timing noise must not fail the suite.)
         assert!(
@@ -350,6 +328,6 @@ mod tests {
         );
         // The inferred policy text must itself be loadable (the parser
         // accepts the `//` provenance header).
-        Policy::parse(&artifacts.policy_text).expect("emitted policy parses");
+        Policy::parse(report.artifact("e17-inferred.policy")).expect("emitted policy parses");
     }
 }

@@ -25,14 +25,15 @@
 //! work.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use jmp_security::Permission;
 use jmp_vm::interp::{assemble, difftest, Interpreter, NativeHost, NoNatives, Value};
 use jmp_vm::Vm;
 
 use crate::exp_fastpath::{bench_domains, bench_policy, with_frames};
+use crate::harness::{round_minima, time_ns};
 use crate::table::Table;
+use crate::Report;
 
 /// Iterations of the sum / concat / native loops per timed run.
 const SUM_N: i64 = 30_000;
@@ -199,16 +200,17 @@ fn measure(interp: &Interpreter, arg: i64) -> Measured {
     let compiled_insns = interp.stats().instructions() - before;
     assert_eq!(seed_insns, compiled_insns, "identical instruction charge");
 
-    let mut seed_best = f64::INFINITY;
-    let mut compiled_best = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let t = Instant::now();
-        interp.run_seed("main", run_arg()).expect("seed runs");
-        seed_best = seed_best.min(t.elapsed().as_nanos() as f64 / seed_insns as f64);
-        let t = Instant::now();
-        interp.run("main", run_arg()).expect("compiled runs");
-        compiled_best = compiled_best.min(t.elapsed().as_nanos() as f64 / seed_insns as f64);
-    }
+    let insns = seed_insns as f64;
+    let [seed_best, compiled_best] = round_minima(ROUNDS, || {
+        [
+            time_ns(|| {
+                interp.run_seed("main", run_arg()).expect("seed runs");
+            }) / insns,
+            time_ns(|| {
+                interp.run("main", run_arg()).expect("compiled runs");
+            }) / insns,
+        ]
+    });
     Measured {
         wire_insns: seed_insns,
         seed_ns: seed_best,
@@ -243,8 +245,8 @@ pub struct E18Summary {
     pub diff_divergences: usize,
 }
 
-/// Runs E18 and returns both the tables and the exported summary.
-pub fn e18_interp_full() -> (Vec<Table>, E18Summary) {
+/// Runs E18: the tables plus `BENCH_E18.json`.
+pub fn e18_interp() -> Report {
     // -- E18a: throughput, four workloads ------------------------------
     let sum_interp = Interpreter::new(
         Arc::new(assemble(SUM).expect("sum assembles")),
@@ -374,12 +376,7 @@ pub fn e18_interp_full() -> (Vec<Table>, E18Summary) {
         diff_cases,
         diff_divergences: divergences.len(),
     };
-    (vec![e18a, e18b, e18c], summary)
-}
-
-/// E18: the experiment tables.
-pub fn e18_interp() -> Vec<Table> {
-    e18_interp_full().0
+    Report::bench("BENCH_E18.json", &summary, vec![e18a, e18b, e18c])
 }
 
 #[cfg(test)]
@@ -389,7 +386,9 @@ mod tests {
     #[test]
     fn e18_compiled_beats_seed_with_zero_divergence() {
         let _serial = crate::harness::latency_test_guard();
-        let (tables, summary) = e18_interp_full();
+        let report = e18_interp();
+        let tables = &report.tables;
+        let summary: E18Summary = report.summary("BENCH_E18.json");
         assert_eq!(tables.len(), 3);
         assert_eq!(summary.diff_divergences, 0, "engines diverged");
         assert!(summary.diff_cases >= 40, "corpus shrank");

@@ -34,7 +34,9 @@ use jmp_security::Policy;
 use jmp_vm::interp::{assemble, difftest, ClassImage, Interpreter, NoNatives, Value};
 use jmp_vm::{AppContext, ResourceKind, Vm};
 
-use crate::table::Table;
+use crate::harness::round_minima;
+use crate::table::{ok, Table};
+use crate::Report;
 
 /// Victim launches measured per scenario (median reported).
 const VICTIM_RUNS: usize = 24;
@@ -54,14 +56,6 @@ const OVERHEAD_N: i64 = 30_000;
 /// Checkpoint split points for the differential sweep: entry, early,
 /// mid-loop, and both sides of the safepoint boundary.
 const CKPT_SPLITS: [u64; 5] = [0, 33, 1023, 1024, 1025];
-
-fn ok(flag: bool) -> &'static str {
-    if flag {
-        "ok"
-    } else {
-        "FAILED"
-    }
-}
 
 /// The bomb policy: standard users plus hostile `mallory`; with `capped`
 /// on, mallory's memory is quota'd.
@@ -359,12 +353,10 @@ fn measure_overhead() -> (u64, f64, f64) {
         Arc::clone(&image),
     );
 
-    let mut plain_best = f64::INFINITY;
-    let mut governed_best = f64::INFINITY;
-    for _ in 0..OVERHEAD_ROUNDS {
-        plain_best = plain_best.min(plain.round_ns() / wire_insns as f64);
-        governed_best = governed_best.min(governed.round_ns() / wire_insns as f64);
-    }
+    let insns = wire_insns as f64;
+    let [plain_best, governed_best] = round_minima(OVERHEAD_ROUNDS, || {
+        [plain.round_ns() / insns, governed.round_ns() / insns]
+    });
     plain.finish();
     governed.finish();
     vm.exit_unchecked(0);
@@ -414,8 +406,8 @@ pub struct E20Summary {
     pub accounting_overhead_pct: f64,
 }
 
-/// Runs E20 and returns both the tables and the exported summary.
-pub fn e20_memgov_full() -> (Vec<Table>, E20Summary) {
+/// Runs E20: the tables plus `BENCH_E20.json`.
+pub fn e20_memgov() -> Report {
     // -- E20a/E20b: bomb containment -----------------------------------
     let baseline = run_scenario(false, false);
     let uncapped = run_scenario(false, true);
@@ -576,12 +568,7 @@ pub fn e20_memgov_full() -> (Vec<Table>, E20Summary) {
         governed_ns_per_insn: governed_ns,
         accounting_overhead_pct: overhead_pct,
     };
-    (vec![e20a, e20b, e20c, e20d], summary)
-}
-
-/// E20: the experiment tables.
-pub fn e20_memgov() -> Vec<Table> {
-    e20_memgov_full().0
+    Report::bench("BENCH_E20.json", &summary, vec![e20a, e20b, e20c, e20d])
 }
 
 #[cfg(test)]
@@ -591,7 +578,9 @@ mod tests {
     #[test]
     fn e20_contains_the_bomb_and_migrates_faithfully() {
         let _serial = crate::harness::latency_test_guard();
-        let (tables, summary) = e20_memgov_full();
+        let report = e20_memgov();
+        let tables = &report.tables;
+        let summary: E20Summary = report.summary("BENCH_E20.json");
         assert_eq!(tables.len(), 4);
         // Deterministic checks are asserted tight even in debug builds.
         assert_eq!(summary.ckpt_divergences, 0, "checkpoint sweep diverged");

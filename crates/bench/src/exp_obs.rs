@@ -1,7 +1,7 @@
 //! E11: the observability hub end to end — a scripted session generates
 //! security checks, a denial, pipe traffic and application lifecycle
-//! events, and the hub's snapshot is checked (and exported by
-//! `experiments --json`).
+//! events, and the hub's snapshot is checked (and exported in
+//! `experiments-run.json`).
 
 use std::time::Duration;
 
@@ -110,7 +110,7 @@ pub fn e11_observability() -> Vec<Table> {
     scripted_session().0
 }
 
-/// The metrics snapshot and profiler report `experiments --json` embeds
+/// The metrics snapshot and profiler report `experiments-run.json` embeds
 /// alongside the tables.
 pub fn session_snapshot() -> (HubSnapshot, ProfileReport) {
     let (_, snapshot, profile) = scripted_session();

@@ -22,8 +22,9 @@ use std::time::{Duration, Instant};
 use jmp_obs::{ProfileReport, Profiler};
 use jmp_vm::interp::{assemble, Interpreter, NativeHost, NoNatives, Value};
 
-use crate::harness::{register_app, standard_runtime};
+use crate::harness::{register_app, round_minima, standard_runtime, time_ns};
 use crate::table::Table;
+use crate::{Artifact, Report};
 
 /// Arithmetic-heavy workload: `add`/`sub`/comparison dominated.
 const CRUNCH: &str = r#"
@@ -124,9 +125,10 @@ pub struct E16Summary {
     pub overhead_pct: f64,
 }
 
-/// Everything E16 exports: the scalar summary, the full [`ProfileReport`]
-/// of the scenario, and its flamegraph.pl collapsed-stack rendering.
-#[derive(Debug, Clone, serde::Serialize)]
+/// `BENCH_E16.json`: the scalar summary, the full [`ProfileReport`] of the
+/// scenario, and its flamegraph.pl collapsed-stack rendering (also written
+/// alone as `e16-flame.txt`).
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct E16Artifacts {
     /// Scalar summary (CI gates).
     pub summary: E16Summary,
@@ -186,11 +188,11 @@ fn scenario_report() -> ProfileReport {
 
 /// Measures per-instruction cost with accounting off vs on, on a direct
 /// interpreter with an explicit profiler (no VM), interleaved rounds.
-/// Returns the `(off_ns, on_ns)` round *minima*: scheduler noise only
+/// Returns the `[off_ns, on_ns]` round *minima*: scheduler noise only
 /// ever adds time, so the minimum estimates the intrinsic cost and keeps
 /// the CI overhead gate stable on loaded machines (medians were seen
 /// drifting several percent run to run under background load).
-fn measured_overhead() -> (f64, f64) {
+fn measured_overhead() -> [f64; 2] {
     let image = Arc::new(assemble(CRUNCH).expect("crunch assembles"));
     let off_profiler = Profiler::new();
     off_profiler.set_enabled(false);
@@ -211,23 +213,22 @@ fn measured_overhead() -> (f64, f64) {
     run(&off);
     let insns_per_run = (off.stats().instructions() - before) as f64;
 
-    let mut off_best = f64::INFINITY;
-    let mut on_best = f64::INFINITY;
-    for _ in 0..OVERHEAD_ROUNDS {
-        let t = Instant::now();
-        run(&off);
-        off_best = off_best.min(t.elapsed().as_nanos() as f64 / insns_per_run);
-        let t = Instant::now();
-        run(&on);
-        on_best = on_best.min(t.elapsed().as_nanos() as f64 / insns_per_run);
-    }
-    (off_best, on_best)
+    round_minima(OVERHEAD_ROUNDS, || {
+        [
+            time_ns(|| {
+                run(&off);
+            }) / insns_per_run,
+            time_ns(|| {
+                run(&on);
+            }) / insns_per_run,
+        ]
+    })
 }
 
-/// Runs E16 and returns both the tables and the exported artifacts.
-pub fn e16_profile_full() -> (Vec<Table>, E16Artifacts) {
+/// Runs E16: the tables plus `BENCH_E16.json` and `e16-flame.txt`.
+pub fn e16_profile() -> Report {
     let report = scenario_report();
-    let (off_ns, on_ns) = measured_overhead();
+    let [off_ns, on_ns] = measured_overhead();
     let overhead_pct = if off_ns > 0.0 {
         (on_ns / off_ns - 1.0) * 100.0
     } else {
@@ -303,19 +304,24 @@ pub fn e16_profile_full() -> (Vec<Table>, E16Artifacts) {
         overhead_pct,
     };
     let flamegraph = report.flamegraph(None);
-    (
-        vec![e16a, e16b, e16c],
-        E16Artifacts {
-            summary,
-            report,
-            flamegraph,
+    let artifacts = vec![
+        Artifact {
+            name: "e16-flame.txt",
+            contents: flamegraph.clone(),
         },
-    )
-}
-
-/// E16: the experiment tables.
-pub fn e16_profile() -> Vec<Table> {
-    e16_profile_full().0
+        Artifact::json(
+            "BENCH_E16.json",
+            &E16Artifacts {
+                summary,
+                report,
+                flamegraph,
+            },
+        ),
+    ];
+    Report {
+        tables: vec![e16a, e16b, e16c],
+        artifacts,
+    }
 }
 
 #[cfg(test)]
@@ -325,8 +331,11 @@ mod tests {
     #[test]
     fn e16_profiles_both_apps_and_exports() {
         let _serial = crate::harness::latency_test_guard();
-        let (tables, artifacts) = e16_profile_full();
-        assert_eq!(tables.len(), 3);
+        let e16 = e16_profile();
+        assert_eq!(e16.tables.len(), 3);
+        let artifacts: E16Artifacts =
+            serde_json::from_str(e16.artifact("BENCH_E16.json")).expect("BENCH_E16.json parses");
+        assert_eq!(e16.artifact("e16-flame.txt"), artifacts.flamegraph);
         let summary = &artifacts.summary;
         assert!(summary.vm_instructions > 0, "opcodes were accounted");
         assert_eq!(summary.apps_profiled, 2, "both applications got views");
@@ -358,7 +367,7 @@ mod tests {
             assert!(!stack.is_empty());
             weight.parse::<u64>().expect("numeric weight");
         }
-        // The report round-trips through JSON (what --profile-json writes).
+        // The report round-trips through JSON (as BENCH_E16.json embeds it).
         let json = serde_json::to_string(&artifacts.report).expect("report serializes");
         let back: ProfileReport = serde_json::from_str(&json).expect("report deserializes");
         assert_eq!(back.vm.instructions, summary.vm_instructions);

@@ -22,7 +22,8 @@ use jmp_security::Policy;
 use jmp_vm::AppContext;
 
 use crate::harness::register_app;
-use crate::table::Table;
+use crate::table::{ok, Table};
+use crate::Report;
 
 /// Victim launches measured per scenario (median reported).
 const VICTIM_RUNS: usize = 24;
@@ -55,14 +56,6 @@ const FLOOD_NUDGES: usize = 600;
 const STORM_EVENTS: u32 = 800;
 /// How long the storm app's listener stalls per delivered action.
 const STORM_STALL: Duration = Duration::from_micros(500);
-
-fn ok(flag: bool) -> &'static str {
-    if flag {
-        "ok"
-    } else {
-        "FAILED"
-    }
-}
 
 /// The storm policy: the standard experiment users plus the hostile user
 /// `mallory`; with `quotas` on, mallory's grants cap every ledger resource.
@@ -338,8 +331,8 @@ fn run_scenario(quotas: bool, attackers: bool) -> Outcome {
     }
 }
 
-/// Machine-readable summary of the E15 run (for `--quota-json`).
-#[derive(Debug, Clone, serde::Serialize)]
+/// Machine-readable summary of the E15 run (`BENCH_E15.json`).
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct E15Summary {
     /// Victim exec→exit median, no attackers, quotas off (ms).
     pub baseline_victim_ms: f64,
@@ -359,8 +352,8 @@ pub struct E15Summary {
     pub ledgers_drained: bool,
 }
 
-/// Runs E15 and returns both the tables and the scalar summary.
-pub fn e15_quota_storm_full() -> (Vec<Table>, E15Summary) {
+/// Runs E15: the tables plus `BENCH_E15.json`.
+pub fn e15_quota_storm() -> Report {
     let baseline = run_scenario(false, false);
     let storm_off = run_scenario(false, true);
     let storm_on = run_scenario(true, true);
@@ -439,12 +432,7 @@ pub fn e15_quota_storm_full() -> (Vec<Table>, E15Summary) {
         hostile_breaches: storm_on.breaches,
         ledgers_drained: storm_on.drained,
     };
-    (vec![e15a, e15b], summary)
-}
-
-/// Runs E15 (tables only).
-pub fn e15_quota_storm() -> Vec<Table> {
-    e15_quota_storm_full().0
+    Report::bench("BENCH_E15.json", &summary, vec![e15a, e15b])
 }
 
 #[cfg(test)]
@@ -454,7 +442,9 @@ mod tests {
     #[test]
     fn e15_meets_the_acceptance_thresholds() {
         let _serial = crate::harness::latency_test_guard();
-        let (tables, summary) = e15_quota_storm_full();
+        let report = e15_quota_storm();
+        let tables = &report.tables;
+        let summary: E15Summary = report.summary("BENCH_E15.json");
         assert_eq!(tables.len(), 2);
         assert!(
             !tables

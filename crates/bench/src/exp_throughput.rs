@@ -23,7 +23,8 @@ use jmp_vm::thread::BLOCK_POLL;
 use parking_lot::{Condvar, Mutex};
 
 use crate::harness::standard_runtime;
-use crate::table::Table;
+use crate::table::{ok, Table};
+use crate::Report;
 
 /// Chunk size both pipe variants write and read with.
 const PIPE_CHUNK: usize = 4 * 1024;
@@ -45,14 +46,6 @@ const DRAIN_BATCH: usize = 64;
 
 /// How long the idle-wakeup probes sit with nothing to do.
 const IDLE_WINDOW: Duration = Duration::from_millis(100);
-
-fn ok(flag: bool) -> &'static str {
-    if flag {
-        "ok"
-    } else {
-        "FAILED"
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Seed emulations. Both re-check state on a BLOCK_POLL (5 ms) tick with no
@@ -342,8 +335,8 @@ fn parked_idle_wakeups() -> u64 {
 // The experiment.
 // ---------------------------------------------------------------------------
 
-/// Machine-readable summary of the E14 run (for `--bench-json`).
-#[derive(Debug, Clone, serde::Serialize)]
+/// Machine-readable summary of the E14 run (`BENCH_E14.json`).
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct E14Summary {
     /// Seed-emulation pipe throughput, MB/s.
     pub legacy_pipe_mbps: f64,
@@ -367,8 +360,8 @@ pub struct E14Summary {
     pub parked_watchdog_rows: usize,
 }
 
-/// Runs E14 and returns both the tables and the scalar summary.
-pub fn e14_data_plane_full() -> (Vec<Table>, E14Summary) {
+/// Runs E14: the tables plus `BENCH_E14.json`.
+pub fn e14_data_plane() -> Report {
     // E14a: pipe throughput. The legacy emulation runs once (its polls
     // dominate); the ring pipe takes the best of three passes.
     let legacy_mbps = legacy_pipe_mbps(LEGACY_PIPE_BYTES);
@@ -499,12 +492,7 @@ pub fn e14_data_plane_full() -> (Vec<Table>, E14Summary) {
         parked_idle_wakeups: parked_wakeups,
         parked_watchdog_rows: parked_rows,
     };
-    (vec![e14a, e14b, e14c], summary)
-}
-
-/// Runs E14 (tables only).
-pub fn e14_data_plane() -> Vec<Table> {
-    e14_data_plane_full().0
+    Report::bench("BENCH_E14.json", &summary, vec![e14a, e14b, e14c])
 }
 
 #[cfg(test)]
@@ -514,7 +502,9 @@ mod tests {
     #[test]
     fn e14_meets_the_acceptance_thresholds() {
         let _serial = crate::harness::latency_test_guard();
-        let (tables, summary) = e14_data_plane_full();
+        let report = e14_data_plane();
+        let tables = &report.tables;
+        let summary: E14Summary = report.summary("BENCH_E14.json");
         assert_eq!(tables.len(), 3);
         assert!(
             !tables

@@ -1,7 +1,7 @@
 //! E12: tracing overhead — the flight recorder on vs off on the two hot
 //! paths it instruments (security access checks and AWT event dispatch) —
 //! plus the Chrome `trace_event` export of a scripted scenario
-//! (`experiments --chrome-trace <file>`).
+//! (`e12-chrome-trace.json`).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -11,6 +11,7 @@ use jmp_security::Permission;
 
 use crate::harness::{register_app, standard_runtime};
 use crate::table::{fmt_ns, Table};
+use crate::{Artifact, Report};
 
 /// Granted permission checks per measurement.
 const CHECKS: u64 = 20_000;
@@ -84,8 +85,9 @@ fn measured_dispatch_ns(tracing: bool) -> f64 {
     DISPATCH_NS.load(Ordering::SeqCst) as f64 / EVENTS as f64
 }
 
-/// E12: the experiment table.
-pub fn e12_trace_overhead() -> Vec<Table> {
+/// E12: the experiment table, plus `e12-chrome-trace.json` (see
+/// [`chrome_trace_sample`]).
+pub fn e12_trace_overhead() -> Report {
     let mut table = Table::new(
         "E12",
         "tracing on vs off — per-op cost of the instrumented hot paths",
@@ -113,7 +115,13 @@ pub fn e12_trace_overhead() -> Vec<Table> {
     }
     table.note("recorder off must cost ~one relaxed atomic load per span site;");
     table.note("recorder on pays one ring push (mutex + VecDeque) per span.");
-    vec![table]
+    Report {
+        tables: vec![table],
+        artifacts: vec![Artifact {
+            name: "e12-chrome-trace.json",
+            contents: chrome_trace_sample(),
+        }],
+    }
 }
 
 /// Runs a small scripted scenario — exec, a window action posted to the

@@ -1,0 +1,370 @@
+//! The acceptance gates of the exported experiment artifacts, as one
+//! declarative table. `experiments --out DIR` writes the artifacts, reads
+//! them back from disk, and checks them here: every `.json` artifact must
+//! parse, and every [`GATES`] row whose artifact was written must hold.
+
+use std::fmt;
+
+use serde_json::Value;
+
+use Bound::{AtLeast, AtMost, Below, CollapsedStacks, Equals, NonZero, True, Within};
+
+/// The condition a gated field must meet.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// `field <= bound`.
+    AtMost(f64),
+    /// `field >= bound`.
+    AtLeast(f64),
+    /// `field == value`.
+    Equals(f64),
+    /// `field != 0`.
+    NonZero,
+    /// `field` is `true`.
+    True,
+    /// `lo < field <= hi`.
+    Within(f64, f64),
+    /// `field` is strictly below the named sibling summary field.
+    Below(&'static str),
+    /// Every line of the text artifact is a flamegraph.pl collapsed stack:
+    /// a non-empty stack, a space, and a decimal weight.
+    CollapsedStacks,
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AtMost(b) => write!(f, "<= {b}"),
+            AtLeast(b) => write!(f, ">= {b}"),
+            Equals(v) => write!(f, "== {v}"),
+            NonZero => write!(f, "!= 0"),
+            True => write!(f, "true"),
+            Within(lo, hi) => write!(f, "in ({lo}, {hi}]"),
+            Below(other) => write!(f, "< {other}"),
+            CollapsedStacks => write!(f, "`stack weight` lines"),
+        }
+    }
+}
+
+/// One gate row: a field of an artifact's `summary` object and the bound
+/// it must meet.
+#[derive(Debug)]
+pub struct Gate {
+    /// The artifact the row reads.
+    pub file: &'static str,
+    /// The `summary` field it reads (`lines` for the text artifact).
+    pub field: &'static str,
+    /// The condition.
+    pub bound: Bound,
+    /// What a failure means.
+    pub regression: &'static str,
+}
+
+const fn gate(
+    file: &'static str,
+    field: &'static str,
+    bound: Bound,
+    regression: &'static str,
+) -> Gate {
+    Gate {
+        file,
+        field,
+        bound,
+        regression,
+    }
+}
+
+const E14: &str = "BENCH_E14.json";
+const E15: &str = "BENCH_E15.json";
+const E16: &str = "BENCH_E16.json";
+const E17: &str = "BENCH_E17.json";
+const E18: &str = "BENCH_E18.json";
+const E19: &str = "BENCH_E19.json";
+const E20: &str = "BENCH_E20.json";
+const FLAME: &str = "e16-flame.txt";
+
+/// Every gate, in experiment order. Latency bounds are for release builds
+/// on shared CI runners; the in-crate experiment tests assert looser ones.
+#[rustfmt::skip]
+pub const GATES: &[Gate] = &[
+    gate(E14, "parked_idle_wakeups", AtMost(2.0), "idle-wakeup regression"),
+    gate(E14, "pipe_speedup", AtLeast(3.0), "pipe throughput regression"),
+    gate(E14, "events_speedup", AtLeast(2.0), "event throughput regression"),
+    gate(E15, "victim_ratio", AtMost(2.0), "quota containment regression"),
+    gate(E15, "quota_denied", NonZero, "quota enforcement regression"),
+    gate(E15, "audited_denials", NonZero, "quota audit regression"),
+    gate(E15, "ledgers_drained", True, "ledger exactness regression"),
+    gate(E16, "overhead_pct", AtMost(5.0), "profiler overhead regression"),
+    gate(E16, "vm_instructions", NonZero, "profiler accounting regression"),
+    gate(E16, "apps_profiled", AtLeast(2.0), "profiler attribution regression"),
+    gate(E16, "distinct_stacks", NonZero, "profiler sampling regression"),
+    gate(FLAME, "lines", CollapsedStacks, "malformed collapsed-stack line"),
+    gate(E17, "replay_spurious_denials", Equals(0.0), "inference soundness regression"),
+    gate(E17, "training_spurious_denials", Equals(0.0), "training-run regression"),
+    gate(E17, "replay_workload_ok", True, "inference completeness regression"),
+    gate(E17, "probes_still_denied", True, "least-privilege regression"),
+    gate(E17, "inferred_grants", Below("handwritten_grants"), "least-privilege regression"),
+    gate(E17, "demand_rows", NonZero, "demand-ledger regression"),
+    // The release headline is >10x, so 5x is a regression, not variance.
+    gate(E18, "interp_speedup", AtLeast(5.0), "interpreter regression"),
+    gate(E18, "diff_divergences", Equals(0.0), "interpreter equivalence regression"),
+    gate(E18, "diff_cases", AtLeast(40.0), "differential corpus regression"),
+    gate(E18, "fused_dispatch_pct", AtLeast(30.0), "superinstruction regression"),
+    gate(E19, "worst_ratio", AtMost(1.5), "control-plane flatness regression"),
+    gate(E19, "provisioned_users", Equals(1_000_000.0), "store provisioning regression"),
+    gate(E19, "resident_users", Within(0.0, 65_536.0), "lazy-store residency regression"),
+    gate(E19, "store_loads", NonZero, "lazy-store regression"),
+    gate(E19, "divergences", Equals(0.0), "lazy-store correctness regression"),
+    gate(E20, "capped_ratio", AtMost(1.1), "memory containment regression"),
+    gate(E20, "memory_denied", NonZero, "memory enforcement regression"),
+    gate(E20, "quota_denied", NonZero, "memory enforcement regression"),
+    gate(E20, "audited_denials", NonZero, "memory audit regression"),
+    gate(E20, "ledgers_drained", True, "ledger exactness regression"),
+    gate(E20, "ckpt_divergences", Equals(0.0), "checkpoint fidelity regression"),
+    gate(E20, "ckpt_comparisons", AtLeast(200.0), "checkpoint corpus regression"),
+    gate(E20, "roundtrip_identical", True, "migrate regression (output)"),
+    gate(E20, "roundtrip_id_preserved", True, "migrate regression (id/user)"),
+    gate(E20, "roundtrip_limits_preserved", True, "migrate regression (limits)"),
+    gate(E20, "accounting_overhead_pct", AtMost(5.0), "memory accounting overhead regression"),
+];
+
+fn number(value: &Value) -> Option<f64> {
+    match value {
+        Value::I64(i) => Some(*i as f64),
+        Value::U64(u) => Some(*u as f64),
+        Value::F64(f) => Some(*f),
+        _ => None,
+    }
+}
+
+/// Whether `line` is a flamegraph.pl collapsed stack: `stack weight`.
+fn is_collapsed_stack(line: &str) -> bool {
+    matches!(line.rsplit_once(' '), Some((stack, weight))
+        if !stack.is_empty() && !weight.is_empty() && weight.bytes().all(|b| b.is_ascii_digit()))
+}
+
+impl Gate {
+    /// Checks the row against its artifact: `text` as read, `doc` its
+    /// parsed JSON. `Err` carries what was read.
+    fn check(&self, text: &str, doc: &Value) -> Result<(), String> {
+        if self.bound == CollapsedStacks {
+            return match text.lines().find(|line| !is_collapsed_stack(line)) {
+                Some(line) => Err(format!("{line:?}")),
+                None => Ok(()),
+            };
+        }
+        let field = |name| doc.get("summary").and_then(|s| s.get(name));
+        let value = field(self.field);
+        let x = value.and_then(number);
+        let holds = match self.bound {
+            AtMost(b) => x.is_some_and(|x| x <= b),
+            AtLeast(b) => x.is_some_and(|x| x >= b),
+            Equals(v) => x == Some(v),
+            NonZero => x.is_some_and(|x| x != 0.0),
+            True => value == Some(&Value::Bool(true)),
+            Within(lo, hi) => x.is_some_and(|x| lo < x && x <= hi),
+            Below(other) => x
+                .zip(field(other).and_then(number))
+                .is_some_and(|(x, y)| x < y),
+            CollapsedStacks => unreachable!("text artifact"),
+        };
+        let read = |v: Option<&Value>| {
+            v.map_or("missing".to_string(), |v| {
+                serde_json::to_string(v).expect("values render")
+            })
+        };
+        match self.bound {
+            _ if holds => Ok(()),
+            Below(other) => Err(format!("{}, {other} {}", read(value), read(field(other)))),
+            _ => Err(read(value)),
+        }
+    }
+}
+
+/// A failed check: the [`GATES`] row (`None` when the artifact is not
+/// valid JSON) and what was read.
+#[derive(Debug)]
+pub struct Failure {
+    /// Index into [`GATES`].
+    pub row: Option<usize>,
+    /// Names the artifact, the field, the bound, and what was read.
+    pub message: String,
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+/// Checks `files`, `(name, contents)` pairs as read back from disk: every
+/// `.json` file must parse, and every [`GATES`] row whose file is present
+/// must hold. Returns the number of rows checked and the failures.
+pub fn check(files: &[(&str, String)]) -> (usize, Vec<Failure>) {
+    let mut failures = Vec::new();
+    let mut docs = Vec::new();
+    for (name, text) in files {
+        let doc = if name.ends_with(".json") {
+            match serde_json::from_str::<Value>(text) {
+                Ok(doc) => doc,
+                Err(e) => {
+                    failures.push(Failure {
+                        row: None,
+                        message: format!("{name}: not valid JSON: {e}"),
+                    });
+                    continue;
+                }
+            }
+        } else {
+            Value::Null
+        };
+        docs.push((*name, text, doc));
+    }
+    let mut checked = 0;
+    for (row, gate) in GATES.iter().enumerate() {
+        let Some((_, text, doc)) = docs.iter().find(|(name, ..)| *name == gate.file) else {
+            continue;
+        };
+        checked += 1;
+        if let Err(read) = gate.check(text, doc) {
+            failures.push(Failure {
+                row: Some(row),
+                message: format!(
+                    "{}: {} {}, read {read} ({})",
+                    gate.file, gate.field, gate.bound, gate.regression
+                ),
+            });
+        }
+    }
+    (checked, failures)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use super::*;
+
+    fn set(summary: &mut Value, field: &str, value: Value) {
+        let Value::Map(entries) = summary else {
+            unreachable!("summaries are maps")
+        };
+        match entries.iter_mut().find(|(k, _)| k == field) {
+            Some(entry) => entry.1 = value,
+            None => entries.push((field.to_string(), value)),
+        }
+    }
+
+    type Summaries = BTreeMap<&'static str, Value>;
+
+    /// One summary per gated JSON artifact, every field exactly at its
+    /// bound where the bound is inclusive.
+    fn passing_summaries() -> Summaries {
+        let mut summaries = Summaries::new();
+        for gate in GATES.iter().filter(|g| g.bound != CollapsedStacks) {
+            let summary = summaries.entry(gate.file).or_insert(Value::Map(Vec::new()));
+            let value = match gate.bound {
+                AtMost(b) | AtLeast(b) | Equals(b) => Value::F64(b),
+                Within(_, hi) => Value::F64(hi),
+                NonZero => Value::I64(1),
+                True => Value::Bool(true),
+                Below(other) => {
+                    set(summary, other, Value::I64(7));
+                    Value::I64(6)
+                }
+                CollapsedStacks => unreachable!(),
+            };
+            set(summary, gate.field, value);
+        }
+        summaries
+    }
+
+    fn render(summaries: &Summaries, flame: &str) -> Vec<(&'static str, String)> {
+        let mut files: Vec<(&str, String)> = summaries
+            .iter()
+            .map(|(file, summary)| {
+                let doc = Value::Map(vec![("summary".to_string(), summary.clone())]);
+                (*file, serde_json::to_string(&doc).unwrap())
+            })
+            .collect();
+        files.push((FLAME, flame.to_string()));
+        files.push(("experiments-run.json", "{\"tables\": []}".to_string()));
+        files
+    }
+
+    fn failed_rows(files: &[(&str, String)]) -> Vec<Option<usize>> {
+        let (checked, failures) = check(files);
+        assert_eq!(checked, GATES.len(), "every row ran");
+        failures.iter().map(|f| f.row).collect()
+    }
+
+    const GOOD_FLAME: &str = "Main;Main.run 120\nMain 3\n";
+
+    #[test]
+    fn the_table_holds_the_38_conditions() {
+        assert_eq!(GATES.len(), 38);
+        assert_eq!(
+            failed_rows(&render(&passing_summaries(), GOOD_FLAME)),
+            vec![]
+        );
+    }
+
+    #[test]
+    fn moving_one_field_past_its_bound_fails_exactly_that_row() {
+        for (row, gate) in GATES.iter().enumerate() {
+            if gate.bound == CollapsedStacks {
+                continue;
+            }
+            let past: Vec<Value> = match gate.bound {
+                AtMost(b) => vec![Value::F64(b + 0.01)],
+                AtLeast(b) => vec![Value::F64(b - 0.01)],
+                Equals(v) => vec![Value::F64(v + 1.0)],
+                Within(lo, hi) => vec![Value::F64(hi + 1.0), Value::F64(lo)],
+                NonZero => vec![Value::I64(0)],
+                True => vec![Value::Bool(false)],
+                Below(_) => vec![Value::I64(7)],
+                CollapsedStacks => unreachable!(),
+            };
+            for value in past {
+                let mut summaries = passing_summaries();
+                let summary = summaries.get_mut(gate.file).unwrap();
+                set(summary, gate.field, value.clone());
+                let files = render(&summaries, GOOD_FLAME);
+                assert_eq!(
+                    failed_rows(&files),
+                    vec![Some(row)],
+                    "{} {} = {value:?}",
+                    gate.file,
+                    gate.field
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_malformed_flame_line_fails_the_flame_row() {
+        let flame_row = GATES.iter().position(|g| g.file == FLAME);
+        for bad in [
+            "Main;Main.run\n",
+            "Main 12x\n",
+            " 12\n",
+            "Main;Main.run 120\nMain -3\n",
+        ] {
+            let files = render(&passing_summaries(), bad);
+            assert_eq!(failed_rows(&files), vec![flame_row], "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn an_unparsable_json_artifact_fails() {
+        for name in [E14, "experiments-run.json", "e17-diff.json"] {
+            let mut files = render(&passing_summaries(), GOOD_FLAME);
+            files.retain(|(file, _)| *file != name);
+            files.push((name, "{\"summary\": {".to_string()));
+            let (_, failures) = check(&files);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert_eq!(failures[0].row, None);
+            assert!(failures[0].message.starts_with(name), "{}", failures[0]);
+        }
+    }
+}

@@ -2,6 +2,7 @@
 //! with the paper's policy and all §6 tools installed.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use jmp_awt::DispatchMode;
 use jmp_core::MpRuntime;
@@ -14,6 +15,32 @@ use jmp_security::Policy;
 pub fn latency_test_guard() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Interleaved round minima, the timing estimator the E13, E16, E17,
+/// E18 and E20 tables share. Each of `rounds` rounds calls `round`, which
+/// runs every arm once, in a fixed order, and returns one normalized
+/// sample per arm; the result is each arm's minimum. Scheduler noise only
+/// ever adds time, so the minimum estimates the intrinsic cost and stays
+/// stable on loaded machines where medians drift.
+pub fn round_minima<const N: usize>(
+    rounds: usize,
+    mut round: impl FnMut() -> [f64; N],
+) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..rounds {
+        for (best, sample) in best.iter_mut().zip(round()) {
+            *best = best.min(sample);
+        }
+    }
+    best
+}
+
+/// Wall-clock nanoseconds one call of `f` takes.
+pub fn time_ns(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_nanos() as f64
 }
 
 /// The standard experiment policy: the shell's defaults plus the paper's
@@ -73,6 +100,18 @@ pub fn register_app(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_minima_keeps_each_arms_minimum_in_arm_order() {
+        let mut samples = [[3.0, 9.0], [1.0, 8.0], [2.0, 7.0]].into_iter();
+        let mut calls = 0;
+        let best = round_minima(3, || {
+            calls += 1;
+            samples.next().expect("one sample set per round")
+        });
+        assert_eq!(best, [1.0, 7.0]);
+        assert_eq!(calls, 3);
+    }
 
     #[test]
     fn standard_runtime_builds_and_runs_echo() {

@@ -2,7 +2,8 @@
 //!
 //! The experiment harness: every table/figure-equivalent in EXPERIMENTS.md
 //! is regenerated by a function here, and the `experiments` binary prints
-//! them. Criterion micro-benchmarks for the ablations (A1–A6) live under
+//! them, writes their artifacts, and checks those against [`gates`].
+//! Criterion micro-benchmarks for the ablations (A1–A6) live under
 //! `benches/`.
 
 #![forbid(unsafe_code)]
@@ -25,6 +26,7 @@ pub mod exp_shell;
 pub mod exp_system;
 pub mod exp_throughput;
 pub mod exp_trace;
+pub mod gates;
 pub mod harness;
 pub mod table;
 
@@ -36,34 +38,141 @@ pub const EXPERIMENT_IDS: &[&str] = &[
     "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19", "e20",
 ];
 
+/// A file an experiment exports, named as it is under `docs/`.
+#[derive(Debug)]
+pub struct Artifact {
+    /// File name, e.g. `BENCH_E14.json`.
+    pub name: &'static str,
+    /// File contents.
+    pub contents: String,
+}
+
+impl Artifact {
+    /// Pretty-printed JSON of `value`.
+    pub fn json(name: &'static str, value: &impl serde::Serialize) -> Artifact {
+        let contents = serde_json::to_string_pretty(value).expect("artifact serializes");
+        Artifact { name, contents }
+    }
+}
+
+/// What one experiment produced: the tables it prints and the artifacts
+/// `experiments --out DIR` writes.
+#[derive(Debug)]
+pub struct Report {
+    /// The printed tables.
+    pub tables: Vec<Table>,
+    /// The exported files (none for most experiments).
+    pub artifacts: Vec<Artifact>,
+}
+
+impl Report {
+    /// `tables` plus their `BENCH_E*.json` artifact `name`: the scalar
+    /// summary the gates read, and the tables it came from.
+    pub fn bench(
+        name: &'static str,
+        summary: &impl serde::Serialize,
+        tables: Vec<Table>,
+    ) -> Report {
+        #[derive(serde::Serialize)]
+        struct Bench {
+            summary: serde_json::Value,
+            tables: Vec<Table>,
+        }
+        let bench = Bench {
+            summary: summary.serialize_value(),
+            tables: tables.clone(),
+        };
+        Report {
+            artifacts: vec![Artifact::json(name, &bench)],
+            tables,
+        }
+    }
+
+    /// The contents of artifact `name`; panics if the experiment did not
+    /// export it.
+    pub fn artifact(&self, name: &str) -> &str {
+        self.artifacts
+            .iter()
+            .find(|a| a.name == name)
+            .map(|a| a.contents.as_str())
+            .unwrap_or_else(|| panic!("no artifact {name}"))
+    }
+
+    /// The `summary` object of the `BENCH_E*.json` artifact `name`, read
+    /// back as `S`.
+    pub fn summary<S: serde::Deserialize>(&self, name: &str) -> S {
+        let file: serde_json::Value =
+            serde_json::from_str(self.artifact(name)).expect("artifact is JSON");
+        let summary = file.get("summary").expect("artifact has a summary");
+        S::deserialize_value(summary).expect("summary deserializes")
+    }
+}
+
+impl From<Vec<Table>> for Report {
+    fn from(tables: Vec<Table>) -> Report {
+        Report {
+            tables,
+            artifacts: Vec::new(),
+        }
+    }
+}
+
 /// Runs one experiment by id (case-insensitive). Returns `None` for unknown
 /// ids.
-pub fn run_experiment(id: &str) -> Option<Vec<Table>> {
-    match id.to_ascii_lowercase().as_str() {
-        "e1" => Some(exp_lifecycle::e1_lifetime()),
-        "e2" => Some(exp_dispatch::e2_dispatch()),
-        "e3" => Some(exp_lifecycle::e3_containment()),
-        "e4" => Some(exp_system::e4_system_reload()),
-        "e5a" => Some(exp_perf::e5a_launch()),
-        "e5b" => Some(exp_perf::e5b_ipc()),
-        "e5c" => Some(exp_perf::e5c_context_switch()),
-        "e5d" => Some(exp_perf::e5d_memory()),
-        "e5e" => Some(exp_perf::e5e_responsiveness()),
-        "e6" => Some(exp_security::e6_user_policy()),
-        "e7" => Some(exp_security::e7_security_managers()),
-        "e8" => Some(exp_applet::e8_applet_sandbox()),
-        "e9" => Some(exp_shell::e9_shell_session()),
-        "e10" => Some(exp_system::e10_stream_ownership()),
-        "e11" => Some(exp_obs::e11_observability()),
-        "e12" => Some(exp_trace::e12_trace_overhead()),
-        "e13" => Some(exp_fastpath::e13_access_fastpath()),
-        "e14" => Some(exp_throughput::e14_data_plane()),
-        "e15" => Some(exp_quota::e15_quota_storm()),
-        "e16" => Some(exp_profile::e16_profile()),
-        "e17" => Some(exp_infer::e17_infer()),
-        "e18" => Some(exp_interp::e18_interp()),
-        "e19" => Some(exp_control::e19_control()),
-        "e20" => Some(exp_memgov::e20_memgov()),
-        _ => None,
+pub fn run_experiment(id: &str) -> Option<Report> {
+    let report = match id.to_ascii_lowercase().as_str() {
+        "e1" => exp_lifecycle::e1_lifetime().into(),
+        "e2" => exp_dispatch::e2_dispatch().into(),
+        "e3" => exp_lifecycle::e3_containment().into(),
+        "e4" => exp_system::e4_system_reload().into(),
+        "e5a" => exp_perf::e5a_launch().into(),
+        "e5b" => exp_perf::e5b_ipc().into(),
+        "e5c" => exp_perf::e5c_context_switch().into(),
+        "e5d" => exp_perf::e5d_memory().into(),
+        "e5e" => exp_perf::e5e_responsiveness().into(),
+        "e6" => exp_security::e6_user_policy().into(),
+        "e7" => exp_security::e7_security_managers().into(),
+        "e8" => exp_applet::e8_applet_sandbox().into(),
+        "e9" => exp_shell::e9_shell_session().into(),
+        "e10" => exp_system::e10_stream_ownership().into(),
+        "e11" => exp_obs::e11_observability().into(),
+        "e12" => exp_trace::e12_trace_overhead(),
+        "e13" => exp_fastpath::e13_access_fastpath().into(),
+        "e14" => exp_throughput::e14_data_plane(),
+        "e15" => exp_quota::e15_quota_storm(),
+        "e16" => exp_profile::e16_profile(),
+        "e17" => exp_infer::e17_infer(),
+        "e18" => exp_interp::e18_interp(),
+        "e19" => exp_control::e19_control(),
+        "e20" => exp_memgov::e20_memgov(),
+        _ => return None,
+    };
+    Some(report)
+}
+
+/// The two files that describe a whole run of `tables`:
+/// `experiments-run.txt` (the tables as printed) and
+/// `experiments-run.json` (the tables plus a metrics snapshot and profiler
+/// report of the E11 scripted session, so the run is inspectable offline).
+pub fn run_artifacts(tables: Vec<Table>) -> [Artifact; 2] {
+    #[derive(serde::Serialize)]
+    struct Run {
+        tables: Vec<Table>,
+        metrics: jmp_obs::HubSnapshot,
+        profile: jmp_obs::ProfileReport,
     }
+    let text = tables.iter().map(|t| format!("{t}\n")).collect();
+    let (metrics, profile) = exp_obs::session_snapshot();
+    let run = Run {
+        tables,
+        metrics,
+        profile,
+    };
+    [
+        Artifact {
+            name: "experiments-run.txt",
+            contents: text,
+        },
+        Artifact::json("experiments-run.json", &run),
+    ]
 }

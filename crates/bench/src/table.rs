@@ -98,6 +98,15 @@ impl fmt::Display for Table {
     }
 }
 
+/// The verdict cell of a checked row: `ok` or `FAILED`.
+pub fn ok(flag: bool) -> &'static str {
+    if flag {
+        "ok"
+    } else {
+        "FAILED"
+    }
+}
+
 /// Formats nanoseconds compactly.
 pub fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {

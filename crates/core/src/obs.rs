@@ -200,7 +200,8 @@ pub fn top_rows(rt: &MpRuntime) -> Result<Vec<TopRow>> {
 }
 
 /// A full serializable snapshot of the hub (gauges refreshed first) — what
-/// `experiments --json` embeds and `vmstat` prints from.
+/// `experiments --out DIR` embeds in `experiments-run.json` and `vmstat`
+/// prints from.
 ///
 /// # Errors
 ///

@@ -573,7 +573,8 @@ impl std::fmt::Debug for ObsHub {
 
 /// Point-in-time export of the hub: the VM registry, every per-application
 /// registry (keyed by registry name, `"<id>:<label>"`), and the stream and
-/// audit totals. This is what `experiments --json` embeds.
+/// audit totals. This is what `experiments --out DIR` embeds in
+/// `experiments-run.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HubSnapshot {
     /// The VM-wide registry.

@@ -715,7 +715,8 @@ impl ProfileView {
 
 /// A point-in-time snapshot of everything both collection modes gathered:
 /// the VM-wide view plus one view per application that executed interpreted
-/// code. Serializable — `experiments --profile-json` writes one of these.
+/// code. Serializable — `experiments --out DIR` writes one of these into
+/// `BENCH_E16.json`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProfileReport {
     /// Capture time, ms on the hub clock.

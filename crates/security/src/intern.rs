@@ -362,16 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_count_is_monotone() {
-        let before = interned_domain_count();
-        let _ = domain("file:/intern/count-probe", vec![]).id();
-        assert!(interned_domain_count() > before);
-        let again = interned_domain_count();
-        let _ = domain("file:/intern/count-probe", vec![]).id();
-        assert_eq!(interned_domain_count(), again);
-    }
-
-    #[test]
     fn memo_respects_file_action_boundaries() {
         let d = domain(
             "file:/intern/actions",

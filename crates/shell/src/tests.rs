@@ -243,9 +243,14 @@ fn ps_and_kill() {
     terminal.type_line("apw").unwrap();
     terminal.type_line("sleep 60000 &").unwrap();
     terminal.type_line("ps").unwrap();
-    // Give ps a moment, then find the sleeper's id on screen.
+    // Wait for ps's row for the sleeper. The echoed command line
+    // `sleep 60000 &` shows up first, before the sleeper is launched; only
+    // a ps row ends with the application name.
     let found = jmp_awt::Toolkit::wait_until(Duration::from_secs(5), || {
-        terminal.screen_text().contains("sleep")
+        terminal
+            .screen_text()
+            .lines()
+            .any(|line| line.ends_with(" sleep"))
     });
     assert!(
         found,

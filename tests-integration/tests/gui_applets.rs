@@ -76,7 +76,8 @@ const EVIL_GUI_APPLET: &str = r#"
         push_str "steal"
         native on_action/3
         pop
-        return
+        push_int 0
+        return_value
 
     method steal/1 locals=0
         push_str "/home/alice/secret.txt"
@@ -123,6 +124,12 @@ fn applet_builds_a_working_gui() {
     assert!(Toolkit::wait_until(Duration::from_secs(5), || toolkit
         .window_count()
         == 1));
+    // The window exists before the applet fills in the field and registers
+    // its listener; the viewer prints the applet's return value after main
+    // returns.
+    assert!(Toolkit::wait_until(Duration::from_secs(5), || {
+        rt.console_output().contains("applet returned:")
+    }));
     let window_id = toolkit.windows_of_app(viewer.id().0)[0];
     let window = toolkit.window(window_id).unwrap();
     assert_eq!(window.title(), "Counter");
@@ -170,6 +177,10 @@ fn gui_callback_keeps_the_applet_sandbox() {
     assert!(Toolkit::wait_until(Duration::from_secs(5), || toolkit
         .window_count()
         == 1));
+    // Wait for main to return, i.e. for the listener to be registered.
+    assert!(Toolkit::wait_until(Duration::from_secs(5), || {
+        rt.console_output().contains("applet returned:")
+    }));
     let window_id = toolkit.windows_of_app(viewer.id().0)[0];
 
     // Click the bait button: the callback runs on the dispatcher thread but

@@ -5,6 +5,7 @@
 //! Per-application dispatching (Fig 4) keeps applications independent.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use jmp_awt::{ComponentId, DispatchMode, Toolkit};
@@ -31,9 +32,10 @@ fn gui_runtime(mode: DispatchMode) -> MpRuntime {
     rt
 }
 
-static CLICKS_B: AtomicUsize = AtomicUsize::new(0);
-
-fn register_gui_apps(rt: &MpRuntime) {
+/// Registers the two GUI apps; app B's button counts its clicks in
+/// `clicks_b`. Each scenario owns its counter, so scenarios running in
+/// parallel test threads cannot see each other's clicks.
+fn register_gui_apps(rt: &MpRuntime, clicks_b: Arc<AtomicUsize>) {
     rt.vm()
         .material()
         .register(
@@ -51,11 +53,12 @@ fn register_gui_apps(rt: &MpRuntime) {
         .material()
         .register(
             jmp_vm::ClassDef::builder("guiB")
-                .main(|_| {
+                .main(move |_| {
                     let w = jmp_core::gui::create_window("B")?;
                     let b = w.add_button("b");
-                    w.on_action(b, |_| {
-                        CLICKS_B.fetch_add(1, Ordering::SeqCst);
+                    let clicks_b = Arc::clone(&clicks_b);
+                    w.on_action(b, move |_| {
+                        clicks_b.fetch_add(1, Ordering::SeqCst);
                     });
                     jmp_vm::thread::sleep(Duration::from_secs(600))
                 })
@@ -66,9 +69,9 @@ fn register_gui_apps(rt: &MpRuntime) {
 }
 
 fn run_scenario(mode: DispatchMode) -> (usize, usize) {
-    CLICKS_B.store(0, Ordering::SeqCst);
+    let clicks_b = Arc::new(AtomicUsize::new(0));
     let rt = gui_runtime(mode);
-    register_gui_apps(&rt);
+    register_gui_apps(&rt, Arc::clone(&clicks_b));
     let display = rt.display().unwrap().clone();
     let toolkit = rt.toolkit().unwrap().clone();
 
@@ -88,9 +91,9 @@ fn run_scenario(mode: DispatchMode) -> (usize, usize) {
     // Sanity: B's button works while A is alive.
     display.inject_action(win_b, button_b).unwrap();
     assert!(Toolkit::wait_until(Duration::from_secs(5), || {
-        CLICKS_B.load(Ordering::SeqCst) == 1
+        clicks_b.load(Ordering::SeqCst) == 1
     }));
-    let before = CLICKS_B.load(Ordering::SeqCst);
+    let before = clicks_b.load(Ordering::SeqCst);
 
     // Kill A; then click B's button a few more times.
     app_a.stop(0).unwrap();
@@ -102,9 +105,9 @@ fn run_scenario(mode: DispatchMode) -> (usize, usize) {
     }
     // Give delivery a moment either way.
     Toolkit::wait_until(Duration::from_millis(400), || {
-        CLICKS_B.load(Ordering::SeqCst) >= before + 3
+        clicks_b.load(Ordering::SeqCst) >= before + 3
     });
-    let after = CLICKS_B.load(Ordering::SeqCst);
+    let after = clicks_b.load(Ordering::SeqCst);
     app_b.stop(0).unwrap();
     let _ = app_b.wait_for();
     rt.shutdown();
