@@ -3,13 +3,14 @@
 //! substitution for Java bytecode).
 //!
 //! A9: the same workloads on both engines in one binary — the seed
-//! tree-walking loop (`run_seed`, the executable specification) vs the
-//! pre-decoded direct-threaded engine (`run`) — isolating what
-//! pre-decoding, superinstruction fusion, and frame reuse buy.
+//! tree-walking loop (`difftest::Seed`, the executable specification) vs
+//! the pre-decoded direct-threaded engine (`Interpreter::run`) — isolating
+//! what pre-decoding, superinstruction fusion, and frame reuse buy.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use jmp_vm::interp::difftest::Seed;
 use jmp_vm::interp::{assemble, Interpreter, NativeHost, NoNatives, Value};
 
 const SUM_LOOP: &str = r#"
@@ -110,31 +111,22 @@ const FIB: &str = r#"
 "#;
 
 fn bench_seed_vs_predecoded(c: &mut Criterion) {
-    let image = Arc::new(assemble(SUM_LOOP).unwrap());
-    let interpreter = Interpreter::new(image, Arc::new(NoNatives)).unwrap();
-    let mut group = c.benchmark_group("A9/sum_loop_10k");
-    group.bench_function("seed", |b| {
-        b.iter(|| {
-            interpreter
-                .run_seed("main", vec![Value::Int(10_000)])
-                .unwrap()
+    for (group, source, n) in [
+        ("A9/sum_loop_10k", SUM_LOOP, 10_000),
+        ("A9/fib_16", FIB, 16),
+    ] {
+        let image = Arc::new(assemble(source).unwrap());
+        let seed = Seed::new(Arc::clone(&image), Arc::new(NoNatives)).unwrap();
+        let interpreter = Interpreter::new(image, Arc::new(NoNatives)).unwrap();
+        let mut group = c.benchmark_group(group);
+        group.bench_function("seed", |b| {
+            b.iter(|| seed.run("main", vec![Value::Int(n)]).unwrap());
         });
-    });
-    group.bench_function("predecoded", |b| {
-        b.iter(|| interpreter.run("main", vec![Value::Int(10_000)]).unwrap());
-    });
-    group.finish();
-
-    let image = Arc::new(assemble(FIB).unwrap());
-    let interpreter = Interpreter::new(image, Arc::new(NoNatives)).unwrap();
-    let mut group = c.benchmark_group("A9/fib_16");
-    group.bench_function("seed", |b| {
-        b.iter(|| interpreter.run_seed("main", vec![Value::Int(16)]).unwrap());
-    });
-    group.bench_function("predecoded", |b| {
-        b.iter(|| interpreter.run("main", vec![Value::Int(16)]).unwrap());
-    });
-    group.finish();
+        group.bench_function("predecoded", |b| {
+            b.iter(|| interpreter.run("main", vec![Value::Int(n)]).unwrap());
+        });
+        group.finish();
+    }
 }
 
 fn bench_predecode(c: &mut Criterion) {

@@ -116,7 +116,7 @@ fn latency_table() -> Table {
     table.note("stack depth — so the speedup grows linearly with depth, passing 5x");
     table.note("around depth 8 and 10x by depth 24. the truly cold first-check-after-");
     table.note("reload (E13c) is costlier still: the flushed number re-uses warm");
-    table.note("per-domain memos and indexes.");
+    table.note("per-domain grant indexes.");
     table.note(format!(
         "interned protection domains process-wide: {}",
         interned_domain_count()

@@ -5,7 +5,7 @@
 //! Three tables:
 //!
 //! * **E18a** — per-wire-instruction cost of the seed engine
-//!   ([`Interpreter::run_seed`], the executable specification) vs the
+//!   ([`Seed::run`], the executable specification) vs the
 //!   pre-decoded engine ([`Interpreter::run`]) on four workloads:
 //!   an arithmetic sum loop (the headline), recursive `fib` (call/frame
 //!   heavy), a string-concat loop (allocation bound, so dispatch gains
@@ -27,7 +27,8 @@
 use std::sync::Arc;
 
 use jmp_security::Permission;
-use jmp_vm::interp::{assemble, difftest, Interpreter, NativeHost, NoNatives, Value};
+use jmp_vm::interp::difftest::{self, Seed};
+use jmp_vm::interp::{assemble, Interpreter, NativeHost, NoNatives, Value};
 use jmp_vm::Vm;
 
 use crate::exp_fastpath::{bench_domains, bench_policy, with_frames};
@@ -178,36 +179,43 @@ impl Measured {
     }
 }
 
-/// Interleaved seed/compiled rounds over one interpreter; panics if the
-/// two engines disagree on the result or the instruction count (the
-/// differential corpus checks this exhaustively; here it guards the
-/// normalization).
-fn measure(interp: &Interpreter, arg: i64) -> Measured {
+/// Both engines over one image and host.
+fn engines(source: &str, host: Arc<dyn NativeHost>) -> (Seed, Interpreter) {
+    let image = Arc::new(assemble(source).expect("workload assembles"));
+    let seed = Seed::new(Arc::clone(&image), Arc::clone(&host)).expect("workload verifies");
+    let compiled = Interpreter::new(image, host).expect("workload verifies");
+    (seed, compiled)
+}
+
+/// Interleaved seed/compiled rounds; panics if the two engines disagree on
+/// the result or the instruction count (the differential corpus checks
+/// this exhaustively; here it guards the normalization).
+fn measure((seed, compiled): &(Seed, Interpreter), arg: i64) -> Measured {
     let run_arg = || vec![Value::Int(arg)];
     // Warm up both engines (lazy allocations, branch predictors, and the
     // native-site / decision caches reach steady state).
-    let seed_result = interp.run_seed("main", run_arg()).expect("seed runs");
-    let compiled_result = interp.run("main", run_arg()).expect("compiled runs");
+    let seed_result = seed.run("main", run_arg()).expect("seed runs");
+    let compiled_result = compiled.run("main", run_arg()).expect("compiled runs");
     assert_eq!(seed_result, compiled_result, "engines agree on the result");
 
     // The per-run wire-instruction count, measured on each engine — the
     // batched accounting must land on exactly the seed's count.
-    let before = interp.stats().instructions();
-    interp.run_seed("main", run_arg()).expect("seed runs");
-    let seed_insns = interp.stats().instructions() - before;
-    let before = interp.stats().instructions();
-    interp.run("main", run_arg()).expect("compiled runs");
-    let compiled_insns = interp.stats().instructions() - before;
+    let before = seed.stats().instructions();
+    seed.run("main", run_arg()).expect("seed runs");
+    let seed_insns = seed.stats().instructions() - before;
+    let before = compiled.stats().instructions();
+    compiled.run("main", run_arg()).expect("compiled runs");
+    let compiled_insns = compiled.stats().instructions() - before;
     assert_eq!(seed_insns, compiled_insns, "identical instruction charge");
 
     let insns = seed_insns as f64;
     let [seed_best, compiled_best] = round_minima(ROUNDS, || {
         [
             time_ns(|| {
-                interp.run_seed("main", run_arg()).expect("seed runs");
+                seed.run("main", run_arg()).expect("seed runs");
             }) / insns,
             time_ns(|| {
-                interp.run("main", run_arg()).expect("compiled runs");
+                compiled.run("main", run_arg()).expect("compiled runs");
             }) / insns,
         ]
     });
@@ -248,26 +256,9 @@ pub struct E18Summary {
 /// Runs E18: the tables plus `BENCH_E18.json`.
 pub fn e18_interp() -> Report {
     // -- E18a: throughput, four workloads ------------------------------
-    let sum_interp = Interpreter::new(
-        Arc::new(assemble(SUM).expect("sum assembles")),
-        Arc::new(NoNatives),
-    )
-    .expect("sum verifies");
-    let sum = measure(&sum_interp, SUM_N);
-
-    let fib_interp = Interpreter::new(
-        Arc::new(assemble(FIB).expect("fib assembles")),
-        Arc::new(NoNatives),
-    )
-    .expect("fib verifies");
-    let fib = measure(&fib_interp, FIB_N);
-
-    let str_interp = Interpreter::new(
-        Arc::new(assemble(STR_BUILD).expect("str assembles")),
-        Arc::new(NoNatives),
-    )
-    .expect("str verifies");
-    let concat = measure(&str_interp, STR_N);
+    let sum = measure(&engines(SUM, Arc::new(NoNatives)), SUM_N);
+    let fib = measure(&engines(FIB, Arc::new(NoNatives)), FIB_N);
+    let concat = measure(&engines(STR_BUILD, Arc::new(NoNatives)), STR_N);
 
     let vm = Vm::builder().policy(bench_policy()).build();
     let domains = bench_domains(&vm, 4);
@@ -275,12 +266,8 @@ pub fn e18_interp() -> Report {
         vm,
         demand: Permission::file("/data/report.txt", jmp_security::FileActions::READ),
     });
-    let native_interp = Interpreter::new(
-        Arc::new(assemble(NATIVE_LOOP).expect("native loop assembles")),
-        host,
-    )
-    .expect("native loop verifies");
-    let native = with_frames(&domains, || measure(&native_interp, NATIVE_N));
+    let native_engines = engines(NATIVE_LOOP, host);
+    let native = with_frames(&domains, || measure(&native_engines, NATIVE_N));
 
     let mut e18a = Table::new(
         "E18a",

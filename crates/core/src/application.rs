@@ -692,15 +692,16 @@ pub(crate) fn reap(rt: &MpRuntime, id: AppId) {
     //     no matter how the application exited.
     app.inner.context.reclaim_memory();
 
-    // 5. Finalize and deregister.
+    // 5. Deregister, then finalize: whoever observes `Finished` (a
+    //    checkpoint about to restore under the same id) finds the id free.
+    rt.inner.apps_by_group.remove(&app.inner.group.id());
+    rt.inner.apps_by_id.remove(&id);
     let code = app.inner.pending_code.load(Ordering::SeqCst);
     {
         let mut status = app.inner.status.lock();
         *status = AppStatus::Finished(code);
         app.inner.status_cv.notify_all();
     }
-    rt.inner.apps_by_group.remove(&app.inner.group.id());
-    rt.inner.apps_by_id.remove(&id);
 
     // 6. Retire the application's metrics registry and record the reap.
     let hub = rt.vm().obs();

@@ -18,9 +18,9 @@
 //!   the context, not lost in an error path) and the application exits,
 //!   leaving the reaper to reclaim its memory in O(1).
 //!
-//! Restores re-enter through the same door: [`resume_image_main`] builds a
-//! `main` that resumes a deposited
-//! [`InterpSnapshot`](jmp_vm::InterpSnapshot) instead of starting fresh.
+//! Restores re-enter through the same door: `resume_image_main` builds a
+//! `main` that resumes a deposited [`jmp_vm::InterpSnapshot`] instead of
+//! starting fresh.
 
 use std::sync::Arc;
 

@@ -67,7 +67,6 @@ pub mod obs;
 pub mod pipes;
 mod policy_store;
 mod runtime;
-mod shard;
 pub mod shared;
 pub mod snapshot;
 mod sys_sm;

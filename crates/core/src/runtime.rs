@@ -3,7 +3,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 
 use jmp_awt::{DispatchMode, DisplayServer, Toolkit};
-use jmp_security::{Permission, Policy, ProtectionDomain, User, UserRegistry};
+use jmp_security::{Permission, Policy, ProtectionDomain, ShardedMap, User, UserRegistry};
 use jmp_vfs::{Mode, Vfs};
 use jmp_vm::io::{InStream, IoToken, MemSink, OutStream};
 use jmp_vm::thread::BLOCK_POLL;
@@ -11,7 +11,6 @@ use jmp_vm::{AppContext, ClassDef, GroupId, ResourceKind, Vm};
 use parking_lot::{Condvar, Mutex};
 
 use crate::application::{AppId, Application};
-use crate::shard::ShardedMap;
 use crate::sys_sm::SystemSecurityManager;
 use crate::Result;
 
@@ -292,8 +291,8 @@ impl MpRuntimeBuilder {
             vfs,
             users,
             sys_domain: Arc::new(ProtectionDomain::system()),
-            apps_by_group: ShardedMap::new(),
-            apps_by_id: ShardedMap::new(),
+            apps_by_group: ShardedMap::default(),
+            apps_by_id: ShardedMap::default(),
             default_limits: self.limits,
             next_app_id: AtomicU64::new(1),
             next_io_token: AtomicU64::new(1),
@@ -304,7 +303,7 @@ impl MpRuntimeBuilder {
             default_stdin,
             default_stdout,
             default_stderr,
-            shared: ShardedMap::new(),
+            shared: ShardedMap::default(),
         });
         let rt = MpRuntime {
             inner: Arc::clone(&inner),

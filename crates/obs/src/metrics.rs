@@ -165,7 +165,8 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of all samples.
     pub sum: u64,
-    /// Per-bucket sample counts (see [`BUCKETS`]).
+    /// Per-bucket sample counts: bucket 0 holds zeros, bucket *i* values
+    /// of bit length *i*.
     pub buckets: Vec<u64>,
 }
 

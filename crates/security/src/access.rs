@@ -187,7 +187,7 @@ impl AccessController {
         // Pre-compute whether the running user is granted the demand at all;
         // only consulted for domains holding the exercise permission.
         let user_granted = running_user.is_some_and(|u| policy.user_implies(u, demand));
-        AccessController::check_granted(ctx, demand, user_granted)
+        AccessController::walk(ctx, demand, user_granted, None)
     }
 
     /// [`AccessController::check_with`], additionally reporting how each
@@ -216,38 +216,7 @@ impl AccessController {
         routes: &mut Vec<GrantRoute>,
     ) -> Result<()> {
         let user_granted = running_user.is_some_and(|u| policy.user_implies(u, demand));
-        let mut exercise: Option<Permission> = None;
-        let mut seen = FingerprintBuilder::new();
-        let mut current = Some(ctx);
-        while let Some(c) = current {
-            for entry in &c.entries {
-                if seen.add(&entry.domain) {
-                    if entry.domain.implies(&Permission::All) {
-                        // Statically all-powerful: independent of policy.
-                    } else {
-                        let code_ok = entry.domain.implies(demand);
-                        let user_ok = !code_ok && user_granted && {
-                            let exercise =
-                                exercise.get_or_insert_with(Permission::exercise_user_permissions);
-                            entry.domain.implies(exercise)
-                        };
-                        routes.push(GrantRoute {
-                            source: entry.domain.code_source().url().to_string(),
-                            via_user: user_ok,
-                            refused: !code_ok && !user_ok,
-                        });
-                        if !code_ok && !user_ok {
-                            return Err(SecurityError::denied(demand, entry.domain.to_string()));
-                        }
-                    }
-                }
-                if entry.privileged {
-                    return Ok(());
-                }
-            }
-            current = c.inherited.as_deref();
-        }
-        Ok(())
+        AccessController::walk(ctx, demand, user_granted, Some(routes))
     }
 
     /// Checks `demand` using code-source permissions only (no user
@@ -258,31 +227,49 @@ impl AccessController {
     ///
     /// Returns [`SecurityError::AccessDenied`] naming the refusing domain.
     pub fn check(ctx: &AccessContext, demand: &Permission) -> Result<()> {
-        AccessController::check_granted(ctx, demand, false)
+        AccessController::walk(ctx, demand, false, None)
     }
 
-    /// The shared walk: every *distinct* visible domain must satisfy the
+    /// The one stack walk: every *distinct* visible domain must satisfy the
     /// demand, where `user_granted` says the running user's policy grants
-    /// cover it (so domains holding the exercise permission pass).
+    /// cover it (so domains holding the exercise permission pass). When
+    /// handed `routes`, it records one [`GrantRoute`] per distinct
+    /// policy-dependent domain (see [`AccessController::check_with_routes`]).
     ///
     /// Duplicate domains are checked once — sound because the walk is a pure
     /// AND over visited domains — and dedup preserves first-occurrence order,
     /// so the refusing domain named in a denial is exactly the one the
     /// un-deduplicated walk would have named. The denial message is built
     /// only on the error branch; the granted path formats nothing.
-    fn check_granted(ctx: &AccessContext, demand: &Permission, user_granted: bool) -> Result<()> {
+    fn walk(
+        ctx: &AccessContext,
+        demand: &Permission,
+        user_granted: bool,
+        mut routes: Option<&mut Vec<GrantRoute>>,
+    ) -> Result<()> {
         let mut exercise: Option<Permission> = None;
         let mut seen = FingerprintBuilder::new();
         let mut current = Some(ctx);
         while let Some(c) = current {
             for entry in &c.entries {
-                if seen.add(&entry.domain) {
+                // A statically all-powerful domain passes any demand; it
+                // only needs telling apart when routes are recorded.
+                let visit = seen.add(&entry.domain)
+                    && !(routes.is_some() && entry.domain.implies(&Permission::All));
+                if visit {
                     let code_ok = entry.domain.implies(demand);
                     let user_ok = !code_ok && user_granted && {
                         let exercise =
                             exercise.get_or_insert_with(Permission::exercise_user_permissions);
                         entry.domain.implies(exercise)
                     };
+                    if let Some(routes) = routes.as_deref_mut() {
+                        routes.push(GrantRoute {
+                            source: entry.domain.code_source().url().to_string(),
+                            via_user: user_ok,
+                            refused: !code_ok && !user_ok,
+                        });
+                    }
                     if !code_ok && !user_ok {
                         return Err(SecurityError::denied(demand, entry.domain.to_string()));
                     }

@@ -165,8 +165,8 @@ pub fn domain_display_format_count() -> u64 {
 /// source; every stack frame executing that class's code carries the domain.
 ///
 /// Domains are interned on first use: equal `(code source, grants)` pairs
-/// share one [`DomainId`], one fingerprint term and one bounded memo of
-/// `implies` results (see [`crate::intern`]).
+/// share one [`DomainId`] and one fingerprint term, which is what an
+/// [`AccessContext`](crate::AccessContext) fingerprint is built from.
 #[derive(Debug, Clone)]
 pub struct ProtectionDomain {
     code_source: CodeSource,
@@ -214,24 +214,15 @@ impl ProtectionDomain {
         self.interned().id()
     }
 
-    /// The shared intern record (id, fingerprint term, memo).
+    /// The shared intern record (id, fingerprint term).
     pub(crate) fn interned(&self) -> &Arc<InternedDomain> {
         self.interned.get_or_init(|| intern::intern(self))
     }
 
-    /// Returns `true` if the domain's static permissions imply `demand`.
-    ///
-    /// Memoized per interned domain: a given `(domain, demand)` pair is
-    /// resolved against the grant index at most once VM-wide (until the memo
-    /// cap), after which this is a single hash lookup.
+    /// Returns `true` if the domain's static permissions imply `demand`:
+    /// one probe of the grant list's [`PermissionIndex`].
     pub fn implies(&self, demand: &Permission) -> bool {
-        let interned = self.interned();
-        if let Some(memoized) = interned.memo().get(demand) {
-            return memoized;
-        }
-        let granted = self.permissions.implies(demand);
-        interned.memo().insert(demand, granted);
-        granted
+        self.permissions.implies(demand)
     }
 }
 

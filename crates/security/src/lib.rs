@@ -24,6 +24,9 @@
 //!   additionally exercise the permissions granted to the *running user*.
 //! * [`UserRegistry`] — users, password authentication, home directories
 //!   (paper §5.2, Feature 3/4).
+//! * [`ShardedMap`] and [`EpochCache`] — the one sharded map behind the
+//!   runtime's registries, the VM's decision cache and the lazy per-user
+//!   grant store ([`LazyUserStore`]).
 //!
 //! # Example
 //!
@@ -73,6 +76,7 @@ mod intern;
 mod permission;
 mod policy;
 mod principal;
+mod shard;
 mod store;
 
 pub use access::{AccessContext, AccessController, DomainEntry, GrantRoute};
@@ -89,6 +93,7 @@ pub use intern::{interned_domain_count, ContextFingerprint, DomainId, Fingerprin
 pub use permission::{FileActions, Permission, PropertyActions, SocketActions};
 pub use policy::{Grant, GrantTarget, Policy};
 pub use principal::{User, UserId, UserRegistry};
+pub use shard::{EpochCache, ShardedMap, EPOCH_SHARD_CAP, SHARDS};
 pub use store::{GrantSource, LazyUserStore, TemplateGrantSource, UserGrants};
 
 /// Result alias used throughout this crate.

@@ -7,38 +7,25 @@
 //! blocks". [`LazyUserStore`] splits that: user grants live behind a
 //! [`GrantSource`] (a vfs directory of per-user policy files, a synthetic
 //! template, anything), and a user's permissions are loaded, parsed, and
-//! indexed **on first demand**, then cached in a bounded sharded map.
+//! indexed **on first demand**, then cached in an [`EpochCache`].
 //!
-//! Invalidation is epoch-based, mirroring the VM decision cache: every
-//! cached entry records the store epoch it was loaded under, and
-//! [`LazyUserStore::invalidate`] (called on `set_policy`) bumps the epoch,
-//! killing every cached user at once. The epoch is captured **before** the
-//! source is consulted, so a reload racing an in-flight load can never
-//! resurrect pre-reload grants. Negative results are cached too — a user
-//! with no provisioned grants costs one source probe, not one per check.
-//!
-//! A full shard is cleared rather than evicted entry-by-entry (grants are
-//! cheap to re-load and re-loading is exact), so resident entries stay
-//! bounded at `SHARDS * shard_cap` no matter how many users are
-//! provisioned.
+//! Invalidation follows the cache's epoch protocol, as the VM decision
+//! cache does: [`LazyUserStore::invalidate`] (called on `set_policy`) bumps
+//! the epoch, killing every cached user at once, and the epoch is captured
+//! **before** the source is consulted, so a reload racing an in-flight load
+//! can never resurrect pre-reload grants. Negative results are cached too —
+//! a user with no provisioned grants costs one source probe, not one per
+//! check. Resident entries stay bounded at `SHARDS * EPOCH_SHARD_CAP` no
+//! matter how many users are provisioned.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::RwLock;
 
 use crate::index::PermissionIndex;
 use crate::permission::Permission;
 use crate::policy::Policy;
-
-/// Shard count; a power of two.
-const SHARDS: usize = 16;
-
-/// Default per-shard entry cap; see the module docs for the overflow rule.
-const DEFAULT_SHARD_CAP: usize = 4096;
+use crate::shard::EpochCache;
 
 /// Where per-user grants come from. Implementations are expected to be
 /// cheap to probe for absent users and tolerant of concurrent reads; the
@@ -92,60 +79,42 @@ impl fmt::Debug for UserGrants {
     }
 }
 
-struct CachedUser {
-    epoch: u64,
-    grants: Arc<UserGrants>,
-}
-
-type Shard = HashMap<String, CachedUser>;
-
-/// A bounded, sharded, epoch-invalidated cache of per-user grants over a
+/// A bounded, epoch-invalidated cache of per-user grants over a
 /// [`GrantSource`]. See the module docs for the protocol.
 pub struct LazyUserStore {
     source: Arc<dyn GrantSource>,
-    epoch: AtomicU64,
-    shards: [RwLock<Shard>; SHARDS],
-    shard_cap: usize,
+    /// SipHash-keyed: user names come from outside.
+    users: EpochCache<String, Arc<UserGrants>>,
     /// Completed source loads (including negative probes), for tests and
     /// the E19 report.
     loads: AtomicU64,
-    hasher: RandomState,
 }
 
 impl LazyUserStore {
-    /// Creates a store over `source` with the default per-shard cap.
+    /// Creates a store over `source`.
     pub fn new(source: Arc<dyn GrantSource>) -> LazyUserStore {
-        LazyUserStore::with_shard_cap(source, DEFAULT_SHARD_CAP)
-    }
-
-    /// Creates a store with an explicit per-shard entry cap (tests and
-    /// memory-tight deployments).
-    pub fn with_shard_cap(source: Arc<dyn GrantSource>, shard_cap: usize) -> LazyUserStore {
         LazyUserStore {
             source,
-            epoch: AtomicU64::new(0),
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            shard_cap: shard_cap.max(1),
+            users: EpochCache::default(),
             loads: AtomicU64::new(0),
-            hasher: RandomState::new(),
         }
     }
 
     /// The current store epoch.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.users.epoch()
     }
 
     /// Bumps the epoch, logically discarding every cached user. Called by
     /// the VM on `set_policy` so a policy reload re-reads the source.
     pub fn invalidate(&self) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
+        self.users.invalidate();
     }
 
     /// Users currently resident in the cache (stale entries included until
     /// their shard overflows or they are re-loaded).
     pub fn resident_users(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().len()).sum()
+        self.users.resident()
     }
 
     /// Completed source loads, negative probes included.
@@ -158,26 +127,15 @@ impl LazyUserStore {
         self.source.provisioned_users()
     }
 
-    fn shard(&self, user: &str) -> &RwLock<Shard> {
-        &self.shards[(self.hasher.hash_one(user) as usize) & (SHARDS - 1)]
-    }
-
     /// The grants of `user`, loading and interning them on first demand.
     /// Returns a cached negative (empty) entry for users the source does
     /// not provision, so absent users cost one probe, not one per check.
     pub fn lookup(&self, user: &str) -> Arc<UserGrants> {
-        let shard = self.shard(user);
-        // Capture the epoch *before* touching the cache or the source: an
-        // invalidate racing this load then makes the inserted entry stale,
-        // and a stale entry can never serve a future lookup.
-        let epoch = self.epoch();
-        {
-            let guard = shard.read();
-            if let Some(entry) = guard.get(user) {
-                if entry.epoch == epoch {
-                    return Arc::clone(&entry.grants);
-                }
-            }
+        // Capture the epoch *before* consulting the source: an invalidate
+        // racing this load then makes the inserted entry stale.
+        let epoch = self.users.epoch();
+        if let Some(grants) = self.users.get_with(user, Arc::clone) {
+            return grants;
         }
         // Load outside any lock — the source may read the vfs.
         let permissions = self
@@ -194,17 +152,8 @@ impl LazyUserStore {
             .unwrap_or_default();
         self.loads.fetch_add(1, Ordering::Relaxed);
         let grants = Arc::new(UserGrants::build(permissions));
-        let mut guard = shard.write();
-        if guard.len() >= self.shard_cap && !guard.contains_key(user) {
-            guard.clear();
-        }
-        guard.insert(
-            user.to_string(),
-            CachedUser {
-                epoch,
-                grants: Arc::clone(&grants),
-            },
-        );
+        self.users
+            .insert(user.to_string(), epoch, Arc::clone(&grants));
         grants
     }
 }
@@ -263,6 +212,7 @@ impl GrantSource for TemplateGrantSource {
 mod tests {
     use super::*;
     use crate::permission::FileActions;
+    use crate::shard::{EPOCH_SHARD_CAP, SHARDS};
 
     fn template_store(count: u64) -> LazyUserStore {
         LazyUserStore::new(Arc::new(TemplateGrantSource::new(
@@ -313,54 +263,72 @@ mod tests {
 
     #[test]
     fn invalidate_racing_a_load_kills_the_inflight_entry() {
-        // Simulated race: capture-epoch → invalidate → insert. The insert
-        // lands with the stale epoch and must not serve.
-        struct Counting {
+        // The source invalidates the store from inside its first load, so
+        // the invalidate lands after `lookup` captured the epoch and before
+        // it inserts: that entry is stale and must not serve.
+        struct InvalidatingOnce {
             inner: TemplateGrantSource,
+            store: std::sync::OnceLock<std::sync::Weak<LazyUserStore>>,
             calls: AtomicU64,
         }
-        impl GrantSource for Counting {
+        impl GrantSource for InvalidatingOnce {
             fn load_user(&self, user: &str) -> Option<String> {
-                self.calls.fetch_add(1, Ordering::Relaxed);
+                if self.calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                    if let Some(store) = self.store.get().and_then(|s| s.upgrade()) {
+                        store.invalidate();
+                    }
+                }
                 self.inner.load_user(user)
             }
         }
-        let source = Arc::new(Counting {
+        let source = Arc::new(InvalidatingOnce {
             inner: TemplateGrantSource::new("u", 10, r#"grant user "${user}" { };"#),
+            store: std::sync::OnceLock::new(),
             calls: AtomicU64::new(0),
         });
-        let store = LazyUserStore::new(Arc::clone(&source) as Arc<dyn GrantSource>);
+        let store = Arc::new(LazyUserStore::new(
+            Arc::clone(&source) as Arc<dyn GrantSource>
+        ));
+        source.store.set(Arc::downgrade(&store)).unwrap();
         store.lookup("u1");
-        store.invalidate();
-        // The entry inserted before the invalidate is stale: this lookup
+        assert_eq!(store.epoch(), 1, "the load raced an invalidate");
+        // The in-flight entry carries the pre-invalidate epoch: this lookup
         // must go back to the source.
+        store.lookup("u1");
+        assert_eq!(source.calls.load(Ordering::Relaxed), 2);
+        // The reload was derived under the current epoch and does serve.
         store.lookup("u1");
         assert_eq!(source.calls.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn overflowing_a_shard_clears_it_and_reloads_identically() {
-        let source = Arc::new(TemplateGrantSource::new(
-            "u",
-            100_000,
-            r#"grant user "${user}" { permission file "/home/${user}/-" "read"; };"#,
-        ));
-        let store = LazyUserStore::with_shard_cap(source, 4);
+        // Only u0 is provisioned, so the flood of other users costs a
+        // negative probe each. One more distinct user than the cache can
+        // hold forces at least one shard past its cap.
+        struct OnlyU0;
+        impl GrantSource for OnlyU0 {
+            fn load_user(&self, user: &str) -> Option<String> {
+                (user == "u0").then(|| {
+                    r#"grant user "u0" { permission file "/home/u0/-" "read"; };"#.to_string()
+                })
+            }
+        }
+        let store = LazyUserStore::new(Arc::new(OnlyU0));
         let demand = Permission::file("/home/u0/f", FileActions::READ);
         assert!(store.lookup("u0").implies(&demand));
-        let first_loads = store.loads();
-        // Push enough users through to overflow every shard.
-        for i in 1..200 {
+        let capacity = SHARDS * EPOCH_SHARD_CAP;
+        for i in 1..=capacity {
             store.lookup(&format!("u{i}"));
         }
+        assert_eq!(store.loads(), capacity as u64 + 1);
         assert!(
-            store.resident_users() <= SHARDS * 4,
-            "resident entries stay bounded: {}",
+            store.resident_users() < capacity + 1,
+            "a full shard was cleared: {} resident",
             store.resident_users()
         );
-        // u0 was (very likely) evicted; either way the re-load is exact.
+        // u0 may have been cleared; either way the re-load is exact.
         assert!(store.lookup("u0").implies(&demand));
-        assert!(store.loads() > first_loads);
     }
 
     #[test]

@@ -601,8 +601,15 @@ fn editor_saves_as_the_right_user_with_per_app_dispatch() {
         .launch_as("alice", "edit", &["/home/alice/doc.txt"])
         .unwrap();
     let bob_app = rt.launch_as("bob", "edit", &["/home/bob/doc.txt"]).unwrap();
+    // `edit_main` registers the Save listener only after its window
+    // appears. Wait until each editor's main has returned — its dispatcher
+    // is then its only live thread — so no injected click beats a listener.
+    let main_returned = |app: &jmp_core::Application| {
+        let threads = app.threads();
+        threads.len() == 1 && threads[0].name().starts_with("awt-dispatch")
+    };
     assert!(jmp_awt::Toolkit::wait_until(Duration::from_secs(5), || {
-        toolkit.window_count() == 2
+        toolkit.window_count() == 2 && main_returned(&alice_app) && main_returned(&bob_app)
     }));
 
     let win_of = |app: &jmp_core::Application| {

@@ -147,7 +147,8 @@ impl ClassLoader {
 
     /// Loads a class: returns the already-defined class, or defines it
     /// locally if on the re-load list, or delegates to the parent, or (for a
-    /// root loader) defines it from the registry.
+    /// root loader) defines it from the registry. Concurrent first uses of
+    /// one name all receive the single class the first of them defined.
     ///
     /// # Errors
     ///
@@ -173,7 +174,7 @@ impl ClassLoader {
                 .ok_or_else(|| VmError::ClassNotFound {
                     name: name.to_string(),
                 })?;
-        self.define_class(def, source)
+        self.define(def, source, true)
     }
 
     /// Defines a class in this loader from explicit material and code
@@ -184,6 +185,18 @@ impl ClassLoader {
     ///
     /// [`VmError::Linkage`] if this loader already defined the name.
     pub fn define_class(&self, def: Arc<ClassDef>, source: CodeSource) -> Result<Class> {
+        self.define(def, source, false)
+    }
+
+    /// Defines `def` unless this loader already holds the name, in which
+    /// case `adopt_existing` picks the outcome: the registry path returns
+    /// the class a concurrent first use defined, an explicit define refuses.
+    fn define(
+        &self,
+        def: Arc<ClassDef>,
+        source: CodeSource,
+        adopt_existing: bool,
+    ) -> Result<Class> {
         // Pre-decode interpreted material now (cached on the def, shared by
         // every later interpreter over it), outside the `defined` lock —
         // defining a class is the JVM's verify/link moment, and doing it
@@ -193,7 +206,10 @@ impl ClassLoader {
         let _ = def.compiled();
         let class = {
             let mut defined = self.inner.defined.write();
-            if defined.contains_key(def.name()) {
+            if let Some(existing) = defined.get(def.name()) {
+                if adopt_existing {
+                    return Ok(existing.clone());
+                }
                 return Err(VmError::Linkage {
                     message: format!(
                         "loader {} already defines class {:?}",
@@ -329,6 +345,34 @@ mod tests {
             system.load_class("NoSuchClass").unwrap_err(),
             VmError::ClassNotFound { .. }
         ));
+    }
+
+    #[test]
+    fn concurrent_first_uses_share_one_definition() {
+        // Two sessions starting the same program for the first time: both
+        // miss `defined`, and the one that defines second must receive the
+        // winner's class, not a linkage error.
+        let (registry, _) = setup();
+        let resolver: DomainResolver = Arc::new(|_source| PermissionCollection::new());
+        for trial in 0..500 {
+            let system =
+                ClassLoader::new_system("system", Arc::clone(&registry), Arc::clone(&resolver));
+            let start = std::sync::Barrier::new(2);
+            let racer = || {
+                start.wait();
+                system.load_class("Helper")
+            };
+            let (a, b) = std::thread::scope(|scope| {
+                let a = scope.spawn(racer);
+                let b = scope.spawn(racer);
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            let (a, b) = match (a, b) {
+                (Ok(a), Ok(b)) => (a, b),
+                (a, b) => panic!("trial {trial}: {a:?} / {b:?}"),
+            };
+            assert!(a.same_class(&b), "trial {trial}: two definitions");
+        }
     }
 
     #[test]

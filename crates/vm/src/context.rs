@@ -212,8 +212,9 @@ impl ResourceLimits {
 /// threshold; the runtime wires this to its reaper.
 pub type HardBreachHook = Box<dyn Fn(&AppContext) + Send + Sync>;
 
-/// How many freed interpreter arenas the per-app pool keeps for reuse
-/// (composes with the interpreter's own `ARENA_POOL_CAP` frame pools).
+/// How many freed interpreter arenas the per-app pool keeps for reuse —
+/// the one arena pool: every interpreter run the runtime makes is
+/// attributed to an application.
 pub const APP_ARENA_POOL_CAP: usize = 8;
 
 /// The single per-application ownership record: identity (app id, user,

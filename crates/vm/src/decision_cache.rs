@@ -8,32 +8,18 @@
 //! never cached, so every denial re-runs the full walk and re-derives the
 //! exact refusing-domain audit message (the audit-exactness invariant).
 //!
-//! Invalidation is epoch-based: every entry records the epoch it was derived
-//! under, and anything that can change a decision — `set_policy`,
-//! `set_security_manager`, a user-resolver change — bumps the epoch, which
-//! kills every stale entry at once without a sweep. Entries are *inserted*
-//! with the epoch captured **before** the policy walk began, so a reload
-//! that races a concurrent walk invalidates the in-flight result too: the
-//! walker's captured epoch no longer matches and its insert can never serve
-//! a future lookup.
+//! Invalidation is the [`EpochCache`] protocol: anything that can change a
+//! decision — `set_policy`, `set_security_manager`, a user-resolver change
+//! — bumps the epoch, which kills every stale entry at once without a
+//! sweep, and entries are *inserted* with the epoch captured **before** the
+//! policy walk began, so a reload that races a concurrent walk invalidates
+//! the in-flight result too.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use jmp_obs::{DemandCell, DemandLedger};
-use jmp_security::{ContextFingerprint, Permission};
-use parking_lot::RwLock;
-
-/// Shard count; must be a power of two. Spreads lock contention across
-/// concurrently-checking threads.
-const SHARDS: usize = 16;
-
-/// Per-shard entry cap. A full shard is cleared rather than evicted
-/// entry-by-entry — decisions are cheap to re-derive and workloads with more
-/// than `SHARDS * SHARD_CAP` distinct live keys are not the target.
-const SHARD_CAP: usize = 4096;
+use jmp_security::{ContextFingerprint, EpochCache, Permission};
 
 /// Key of one cached decision: the fingerprint of the visible domain set
 /// plus a hash of `(demand, running user)`. Keeping the demand hashed (not
@@ -89,23 +75,14 @@ impl Hasher for FxHasher {
     }
 }
 
-/// One cached granted decision: the epoch it was derived under plus the
-/// demand-ledger cell recorded during the original walk (when the ledger
-/// accepted the demand). A warm hit bumps the cell directly, so the
-/// always-on demand ledger costs the hot path no hashing and no strings.
-#[derive(Debug)]
-struct CachedGrant {
-    epoch: u64,
-    demand_cell: Option<Arc<DemandCell>>,
-}
-
-type Shard = HashMap<Key, CachedGrant, BuildHasherDefault<FxHasher>>;
-
-/// A sharded, epoch-invalidated map of granted access-control decisions.
+/// An epoch-invalidated map of granted access-control decisions. Each entry
+/// carries the demand-ledger cell recorded during the original walk (when
+/// the ledger accepted the demand): a warm hit bumps the cell directly, so
+/// the always-on demand ledger costs the hot path no hashing and no
+/// strings.
 #[derive(Debug, Default)]
 pub struct DecisionCache {
-    epoch: AtomicU64,
-    shards: [RwLock<Shard>; SHARDS],
+    grants: EpochCache<Key, Option<Arc<DemandCell>>, BuildHasherDefault<FxHasher>>,
 }
 
 fn demand_key(demand: &Permission, user: Option<&str>) -> u64 {
@@ -113,6 +90,15 @@ fn demand_key(demand: &Permission, user: Option<&str>) -> u64 {
     demand.hash(&mut hasher);
     user.hash(&mut hasher);
     hasher.finish()
+}
+
+/// Bumps a hit's demand-ledger cell, if the walk recorded one.
+fn bump(cell: &Option<Arc<DemandCell>>, ledger: &DemandLedger) {
+    if let Some(cell) = cell {
+        if ledger.enabled() {
+            ledger.bump(cell, true);
+        }
+    }
 }
 
 impl DecisionCache {
@@ -124,18 +110,12 @@ impl DecisionCache {
     /// The current epoch. Capture it **before** walking the policy, and pass
     /// the captured value to [`DecisionCache::insert_granted`].
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.grants.epoch()
     }
 
     /// Bumps the epoch, logically discarding every cached decision.
     pub fn invalidate(&self) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-    }
-
-    fn shard(&self, key: &Key) -> &RwLock<Shard> {
-        // The fingerprint half is already avalanche-mixed; its low bits pick
-        // the shard.
-        &self.shards[(key.0 as usize) & (SHARDS - 1)]
+        self.grants.invalidate();
     }
 
     /// Looks up a granted decision for this exact `(context, demand, user)`
@@ -153,20 +133,9 @@ impl DecisionCache {
         ledger: &DemandLedger,
     ) -> bool {
         let key = (fingerprint.hash, demand_key(demand, user));
-        let current = self.epoch();
-        let shard = self.shard(&key).read();
-        let Some(entry) = shard.get(&key) else {
-            return false;
-        };
-        if entry.epoch != current {
-            return false;
-        }
-        if let Some(cell) = &entry.demand_cell {
-            if ledger.enabled() {
-                ledger.bump(cell, true);
-            }
-        }
-        true
+        self.grants
+            .get_with(&key, |cell| bump(cell, ledger))
+            .is_some()
     }
 
     /// Like [`DecisionCache::lookup_granted`], but on a hit also returns a
@@ -182,18 +151,10 @@ impl DecisionCache {
         ledger: &DemandLedger,
     ) -> Option<Option<Arc<DemandCell>>> {
         let key = (fingerprint.hash, demand_key(demand, user));
-        let current = self.epoch();
-        let shard = self.shard(&key).read();
-        let entry = shard.get(&key)?;
-        if entry.epoch != current {
-            return None;
-        }
-        if let Some(cell) = &entry.demand_cell {
-            if ledger.enabled() {
-                ledger.bump(cell, true);
-            }
-        }
-        Some(entry.demand_cell.clone())
+        self.grants.get_with(&key, |cell| {
+            bump(cell, ledger);
+            cell.clone()
+        })
     }
 
     /// Records a granted decision derived while the epoch was
@@ -210,17 +171,7 @@ impl DecisionCache {
         demand_cell: Option<Arc<DemandCell>>,
     ) {
         let key = (fingerprint.hash, demand_key(demand, user));
-        let mut shard = self.shard(&key).write();
-        if shard.len() >= SHARD_CAP && !shard.contains_key(&key) {
-            shard.clear();
-        }
-        shard.insert(
-            key,
-            CachedGrant {
-                epoch: derived_epoch,
-                demand_cell,
-            },
-        );
+        self.grants.insert(key, derived_epoch, demand_cell);
     }
 }
 
@@ -282,11 +233,7 @@ impl NativeSiteCache {
         if grant.epoch != epoch || grant.fingerprint != fingerprint || grant.demand != demand {
             return false;
         }
-        if let Some(cell) = &grant.demand_cell {
-            if ledger.enabled() {
-                ledger.bump(cell, true);
-            }
-        }
+        bump(&grant.demand_cell, ledger);
         true
     }
 
@@ -379,7 +326,7 @@ pub(crate) fn site_store(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmp_security::FileActions;
+    use jmp_security::{FileActions, EPOCH_SHARD_CAP, SHARDS};
 
     fn fp(hash: u64) -> ContextFingerprint {
         ContextFingerprint { hash, unique: 1 }
@@ -387,18 +334,6 @@ mod tests {
 
     fn ledger() -> DemandLedger {
         DemandLedger::new(8)
-    }
-
-    #[test]
-    fn lookup_returns_only_current_epoch_entries() {
-        let cache = DecisionCache::new();
-        let ledger = ledger();
-        let demand = Permission::runtime("x");
-        assert!(!cache.lookup_granted(fp(1), &demand, None, &ledger));
-        cache.insert_granted(fp(1), &demand, None, cache.epoch(), None);
-        assert!(cache.lookup_granted(fp(1), &demand, None, &ledger));
-        cache.invalidate();
-        assert!(!cache.lookup_granted(fp(1), &demand, None, &ledger));
     }
 
     #[test]
@@ -413,24 +348,6 @@ mod tests {
         assert!(!cache.lookup_granted(fp(1), &write, Some("alice"), &ledger));
         assert!(!cache.lookup_granted(fp(1), &read, Some("bob"), &ledger));
         assert!(!cache.lookup_granted(fp(1), &read, None, &ledger));
-    }
-
-    #[test]
-    fn stale_insert_never_serves_lookups() {
-        let cache = DecisionCache::new();
-        let ledger = ledger();
-        let demand = Permission::runtime("x");
-        // A walker captured the epoch, then a reload raced it.
-        let captured = cache.epoch();
-        cache.invalidate();
-        cache.insert_granted(fp(1), &demand, None, captured, None);
-        assert!(
-            !cache.lookup_granted(fp(1), &demand, None, &ledger),
-            "pre-reload decision must not survive the reload"
-        );
-        // A post-reload derivation does serve.
-        cache.insert_granted(fp(1), &demand, None, cache.epoch(), None);
-        assert!(cache.lookup_granted(fp(1), &demand, None, &ledger));
     }
 
     #[test]
@@ -468,15 +385,37 @@ mod tests {
         let cache = DecisionCache::new();
         let ledger = ledger();
         let demand = Permission::runtime("x");
-        // Drive one shard past its cap; all keys here land in shard 0.
-        for i in 0..(SHARD_CAP as u64 + 10) {
-            cache.insert_granted(fp(i * SHARDS as u64), &demand, None, cache.epoch(), None);
+        // One more distinct key than the cache can hold drives at least one
+        // shard past its cap.
+        let keys = (SHARDS * EPOCH_SHARD_CAP) as u64 + 1;
+        for i in 0..keys {
+            cache.insert_granted(fp(i), &demand, None, cache.epoch(), None);
         }
-        // The overflow cleared the shard (dropping the earliest entries) but
+        // The overflow cleared a shard (dropping its earlier entries) but
         // later inserts still land and serve.
-        assert!(!cache.lookup_granted(fp(0), &demand, None, &ledger));
-        let last = (SHARD_CAP as u64 + 9) * SHARDS as u64;
-        assert!(cache.lookup_granted(fp(last), &demand, None, &ledger));
+        let served = (0..keys)
+            .filter(|&i| cache.lookup_granted(fp(i), &demand, None, &ledger))
+            .count() as u64;
+        assert!(served < keys, "no shard was cleared");
+        assert!(cache.lookup_granted(fp(keys - 1), &demand, None, &ledger));
+    }
+
+    #[test]
+    fn stale_insert_never_serves_lookups() {
+        let cache = DecisionCache::new();
+        let ledger = ledger();
+        let demand = Permission::runtime("x");
+        // A walker captured the epoch, then a reload raced it.
+        let captured = cache.epoch();
+        cache.invalidate();
+        cache.insert_granted(fp(1), &demand, None, captured, None);
+        assert!(
+            !cache.lookup_granted(fp(1), &demand, None, &ledger),
+            "pre-reload decision must not survive the reload"
+        );
+        // A post-reload derivation does serve.
+        cache.insert_granted(fp(1), &demand, None, cache.epoch(), None);
+        assert!(cache.lookup_granted(fp(1), &demand, None, &ledger));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The differential corpus: runs every case on both interpreter engines —
-//! the fast dispatch loop ([`Interpreter::run`]) and the seed reference
-//! loop ([`Interpreter::run_seed`]) — and reports any observable
+//! The seed engine and the differential corpus: runs every case on both
+//! interpreter engines — the fast dispatch loop ([`Interpreter::run`]) and
+//! the seed reference loop ([`Seed::run`]) — and reports any observable
 //! divergence.
 //!
 //! The fast loop is an aggressive rework (pre-decoding, superinstruction
@@ -20,11 +20,263 @@
 //! gates on zero), and new fusion patterns get corpus cases alongside
 //! their decoder.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::image::{ClassImage, Insn, MethodImage, Value};
-use super::machine::{Interpreter, NoNatives};
+use super::machine::{
+    expected_int, InterpStats, Interpreter, NativeHost, NoNatives, INTERRUPT_CHECK_EVERY,
+    MAX_CALL_DEPTH,
+};
 use crate::error::VmError;
+use crate::thread::check_interrupt;
+use crate::Result;
+
+/// The seed interpreter: the original recursive `match`-loop over the wire
+/// [`Insn`] form, kept as the executable specification of `jbc` semantics
+/// outside the production path.
+///
+/// It is a pure specification — no profiler, no memory governance, no
+/// checkpoints — but it still pays the seed costs (one relaxed atomic RMW
+/// per wire instruction, fresh locals/stack vectors per call), so E18 can
+/// time it as an honest in-run baseline for [`Interpreter::run`].
+pub struct Seed {
+    image: Arc<ClassImage>,
+    host: Arc<dyn NativeHost>,
+    fuel: Option<u64>,
+    stats: InterpStats,
+}
+
+impl Seed {
+    /// Creates a seed interpreter over `image`, verifying it first.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Verification`] if the image is rejected.
+    pub fn new(image: Arc<ClassImage>, host: Arc<dyn NativeHost>) -> Result<Seed> {
+        super::verify(&image)?;
+        Ok(Seed {
+            image,
+            host,
+            fuel: None,
+            stats: InterpStats::default(),
+        })
+    }
+
+    /// Limits execution to `fuel` instructions per [`Seed::run`] call
+    /// chain; exceeding it traps.
+    pub fn with_fuel(mut self, fuel: u64) -> Seed {
+        self.fuel = Some(fuel);
+        self
+    }
+
+    /// Execution counters (`dispatches` stays 0).
+    pub fn stats(&self) -> &InterpStats {
+        &self.stats
+    }
+
+    /// Runs `method` with `args`.
+    ///
+    /// # Errors
+    ///
+    /// Identical to [`Interpreter::run`].
+    pub fn run(&self, method: &str, args: Vec<Value>) -> Result<Value> {
+        let mut budget = self.fuel;
+        self.run_method(method, args, 0, &mut budget)
+    }
+
+    fn run_method(
+        &self,
+        method: &str,
+        args: Vec<Value>,
+        depth: usize,
+        budget: &mut Option<u64>,
+    ) -> Result<Value> {
+        if depth >= MAX_CALL_DEPTH {
+            return Err(VmError::trap(format!(
+                "call depth exceeds {MAX_CALL_DEPTH}"
+            )));
+        }
+        let m = self
+            .image
+            .methods
+            .iter()
+            .find(|m| m.name == method)
+            .ok_or_else(|| VmError::trap(format!("no such method: {method}")))?;
+        if args.len() != usize::from(m.params) {
+            return Err(VmError::trap(format!(
+                "method {method} takes {} args, got {}",
+                m.params,
+                args.len()
+            )));
+        }
+        let mut locals = vec![Value::Null; usize::from(m.locals)];
+        locals[..args.len()].clone_from_slice(&args);
+        let mut stack: Vec<Value> = Vec::with_capacity(8);
+        let mut pc: usize = 0;
+        loop {
+            let count = self.stats.instructions.fetch_add(1, Ordering::Relaxed) + 1;
+            if count.is_multiple_of(INTERRUPT_CHECK_EVERY) {
+                check_interrupt()?;
+            }
+            if let Some(fuel) = budget {
+                if *fuel == 0 {
+                    return Err(VmError::trap("fuel exhausted"));
+                }
+                *fuel -= 1;
+            }
+            // The verifier guarantees pc validity and stack discipline; the
+            // underflow traps below are unreachable for verified images.
+            let insn = &m.code[pc];
+            pc += 1;
+            match insn {
+                Insn::PushInt(v) => stack.push(Value::Int(*v)),
+                Insn::PushStr(s) => stack.push(Value::str(s)),
+                Insn::PushBool(b) => stack.push(Value::Bool(*b)),
+                Insn::PushNull => stack.push(Value::Null),
+                Insn::Load(slot) => stack.push(locals[usize::from(*slot)].clone()),
+                Insn::Store(slot) => {
+                    locals[usize::from(*slot)] = pop(&mut stack)?;
+                }
+                Insn::Pop => {
+                    pop(&mut stack)?;
+                }
+                Insn::Dup => {
+                    let top = stack
+                        .last()
+                        .cloned()
+                        .ok_or_else(|| VmError::trap("dup on empty stack"))?;
+                    stack.push(top);
+                }
+                Insn::Swap => {
+                    let a = pop(&mut stack)?;
+                    let b = pop(&mut stack)?;
+                    stack.push(a);
+                    stack.push(b);
+                }
+                Insn::Add => binary_int(&mut stack, |a, b| a.wrapping_add(b))?,
+                Insn::Sub => binary_int(&mut stack, |a, b| a.wrapping_sub(b))?,
+                Insn::Mul => binary_int(&mut stack, |a, b| a.wrapping_mul(b))?,
+                Insn::Div => checked_div(&mut stack, false)?,
+                Insn::Rem => checked_div(&mut stack, true)?,
+                Insn::Neg => {
+                    let v = pop_int(&mut stack)?;
+                    stack.push(Value::Int(v.wrapping_neg()));
+                }
+                Insn::Concat => {
+                    let b = pop(&mut stack)?;
+                    let a = pop(&mut stack)?;
+                    stack.push(Value::concat(&a, &b));
+                }
+                Insn::Eq => binary_cmp(&mut stack, |a, b| a == b)?,
+                Insn::Ne => binary_cmp(&mut stack, |a, b| a != b)?,
+                Insn::Lt => binary_int_cmp(&mut stack, |a, b| a < b)?,
+                Insn::Le => binary_int_cmp(&mut stack, |a, b| a <= b)?,
+                Insn::Gt => binary_int_cmp(&mut stack, |a, b| a > b)?,
+                Insn::Ge => binary_int_cmp(&mut stack, |a, b| a >= b)?,
+                Insn::And => binary_bool(&mut stack, |a, b| a && b)?,
+                Insn::Or => binary_bool(&mut stack, |a, b| a || b)?,
+                Insn::Not => {
+                    let v = pop(&mut stack)?;
+                    stack.push(Value::Bool(!v.is_truthy()));
+                }
+                Insn::Jump(t) => pc = usize::from(*t),
+                Insn::JumpIfFalse(t) => {
+                    if !pop(&mut stack)?.is_truthy() {
+                        pc = usize::from(*t);
+                    }
+                }
+                Insn::JumpIfTrue(t) => {
+                    if pop(&mut stack)?.is_truthy() {
+                        pc = usize::from(*t);
+                    }
+                }
+                Insn::Call {
+                    method: callee,
+                    argc,
+                } => {
+                    self.stats.method_calls.fetch_add(1, Ordering::Relaxed);
+                    let mut call_args = split_args(&mut stack, *argc)?;
+                    call_args.reverse();
+                    let result = self.run_method(callee, call_args, depth + 1, budget)?;
+                    stack.push(result);
+                }
+                Insn::CallNative { name, argc } => {
+                    self.stats.native_calls.fetch_add(1, Ordering::Relaxed);
+                    let mut call_args = split_args(&mut stack, *argc)?;
+                    call_args.reverse();
+                    let result = self.host.invoke(name, call_args)?;
+                    stack.push(result);
+                }
+                Insn::Return => return Ok(Value::Null),
+                Insn::ReturnValue => return pop(&mut stack),
+            }
+        }
+    }
+}
+
+fn pop(stack: &mut Vec<Value>) -> Result<Value> {
+    stack
+        .pop()
+        .ok_or_else(|| VmError::trap("operand stack underflow"))
+}
+
+fn pop_int(stack: &mut Vec<Value>) -> Result<i64> {
+    match pop(stack)? {
+        Value::Int(v) => Ok(v),
+        other => Err(expected_int(&other)),
+    }
+}
+
+fn binary_int(stack: &mut Vec<Value>, f: impl Fn(i64, i64) -> i64) -> Result<()> {
+    let b = pop_int(stack)?;
+    let a = pop_int(stack)?;
+    stack.push(Value::Int(f(a, b)));
+    Ok(())
+}
+
+fn checked_div(stack: &mut Vec<Value>, rem: bool) -> Result<()> {
+    let b = pop_int(stack)?;
+    let a = pop_int(stack)?;
+    if b == 0 {
+        return Err(VmError::trap("division by zero"));
+    }
+    stack.push(Value::Int(if rem {
+        a.wrapping_rem(b)
+    } else {
+        a.wrapping_div(b)
+    }));
+    Ok(())
+}
+
+fn binary_int_cmp(stack: &mut Vec<Value>, f: impl Fn(i64, i64) -> bool) -> Result<()> {
+    let b = pop_int(stack)?;
+    let a = pop_int(stack)?;
+    stack.push(Value::Bool(f(a, b)));
+    Ok(())
+}
+
+fn binary_cmp(stack: &mut Vec<Value>, f: impl Fn(&Value, &Value) -> bool) -> Result<()> {
+    let b = pop(stack)?;
+    let a = pop(stack)?;
+    stack.push(Value::Bool(f(&a, &b)));
+    Ok(())
+}
+
+fn binary_bool(stack: &mut Vec<Value>, f: impl Fn(bool, bool) -> bool) -> Result<()> {
+    let b = pop(stack)?.is_truthy();
+    let a = pop(stack)?.is_truthy();
+    stack.push(Value::Bool(f(a, b)));
+    Ok(())
+}
+
+fn split_args(stack: &mut Vec<Value>, argc: u8) -> Result<Vec<Value>> {
+    let mut args = Vec::with_capacity(usize::from(argc));
+    for _ in 0..argc {
+        args.push(pop(stack)?);
+    }
+    Ok(args)
+}
 
 /// One differential case: a program plus the entry call to make.
 pub struct DiffCase {
@@ -559,21 +811,41 @@ fn outcome_label(result: &crate::Result<Value>) -> String {
     }
 }
 
-/// Runs one case on both engines (each on a fresh interpreter, so counters
-/// start equal) and returns the divergences it produced.
+/// The engine-independent counters on which two runs differ, one line each.
+fn counter_diffs((a, x): (&str, &InterpStats), (b, y): (&str, &InterpStats)) -> Vec<String> {
+    [
+        ("instructions", x.instructions(), y.instructions()),
+        ("method_calls", x.method_calls(), y.method_calls()),
+        ("native_calls", x.native_calls(), y.native_calls()),
+    ]
+    .into_iter()
+    .filter(|(_, p, q)| p != q)
+    .map(|(what, p, q)| format!("{what}: {a} {p} vs {b} {q}"))
+    .collect()
+}
+
+/// A fresh fast-loop interpreter for `case`, with its fuel bound.
+fn interpreter(case: &DiffCase) -> Interpreter {
+    let i = Interpreter::new(Arc::new(case.image.clone()), Arc::new(NoNatives))
+        .expect("corpus images verify");
+    match case.fuel {
+        Some(f) => i.with_fuel(f),
+        None => i,
+    }
+}
+
+/// Runs one case on both engines (each fresh, so counters start equal) and
+/// returns the divergences it produced.
 pub fn run_case(case: &DiffCase) -> Vec<Divergence> {
-    let build = |image: &ClassImage| {
-        let i = Interpreter::new(Arc::new(image.clone()), Arc::new(NoNatives))
-            .expect("corpus images verify");
-        match case.fuel {
-            Some(f) => i.with_fuel(f),
-            None => i,
-        }
+    let fast = interpreter(case);
+    let seed =
+        Seed::new(Arc::new(case.image.clone()), Arc::new(NoNatives)).expect("corpus images verify");
+    let seed = match case.fuel {
+        Some(f) => seed.with_fuel(f),
+        None => seed,
     };
-    let fast = build(&case.image);
-    let seed = build(&case.image);
     let fast_result = fast.run(&case.method, case.args.clone());
-    let seed_result = seed.run_seed(&case.method, case.args.clone());
+    let seed_result = seed.run(&case.method, case.args.clone());
 
     let mut divergences = Vec::new();
     let mut diverge = |detail: String| {
@@ -589,27 +861,8 @@ pub fn run_case(case: &DiffCase) -> Vec<Divergence> {
             "outcome: fast [{fast_label}] vs seed [{seed_label}]"
         ));
     }
-    let pairs = [
-        (
-            "instructions",
-            fast.stats().instructions(),
-            seed.stats().instructions(),
-        ),
-        (
-            "method_calls",
-            fast.stats().method_calls(),
-            seed.stats().method_calls(),
-        ),
-        (
-            "native_calls",
-            fast.stats().native_calls(),
-            seed.stats().native_calls(),
-        ),
-    ];
-    for (what, f, s) in pairs {
-        if f != s {
-            diverge(format!("{what}: fast {f} vs seed {s}"));
-        }
+    for detail in counter_diffs(("fast", fast.stats()), ("seed", seed.stats())) {
+        diverge(detail);
     }
     if fast.stats().dispatches() > fast.stats().instructions() {
         diverge(format!(
@@ -642,18 +895,10 @@ pub fn run_all() -> (usize, Vec<Divergence>) {
 /// first safepoint-aligned op boundary) never fires; the split run then
 /// degenerates to a plain run and is compared as such.
 pub fn run_case_checkpointed(case: &DiffCase, at: u64) -> Vec<Divergence> {
-    let build = |image: &ClassImage| {
-        let i = Interpreter::new(Arc::new(image.clone()), Arc::new(NoNatives))
-            .expect("corpus images verify");
-        match case.fuel {
-            Some(f) => i.with_fuel(f),
-            None => i,
-        }
-    };
-    let plain = build(&case.image);
+    let plain = interpreter(case);
     let plain_result = plain.run(&case.method, case.args.clone());
 
-    let first = build(&case.image).with_checkpoint_at(at);
+    let first = interpreter(case).with_checkpoint_at(at);
     let first_result = first.run(&case.method, case.args.clone());
     // The interpreter whose outcome and counters stand for the split run:
     // the restoring one if the park fired, the first one otherwise.
@@ -685,27 +930,8 @@ pub fn run_case_checkpointed(case: &DiffCase, at: u64) -> Vec<Divergence> {
             "outcome: plain [{plain_label}] vs split [{split_label}]"
         ));
     }
-    let pairs = [
-        (
-            "instructions",
-            plain.stats().instructions(),
-            split_stats_of.stats().instructions(),
-        ),
-        (
-            "method_calls",
-            plain.stats().method_calls(),
-            split_stats_of.stats().method_calls(),
-        ),
-        (
-            "native_calls",
-            plain.stats().native_calls(),
-            split_stats_of.stats().native_calls(),
-        ),
-    ];
-    for (what, p, s) in pairs {
-        if p != s {
-            diverge(format!("{what}: plain {p} vs split {s}"));
-        }
+    for detail in counter_diffs(("plain", plain.stats()), ("split", split_stats_of.stats())) {
+        diverge(detail);
     }
     divergences
 }

@@ -1,5 +1,4 @@
-//! The `jbc` execution engine: a pre-decoded fast dispatch loop plus the
-//! seed reference interpreter it is differentially tested against.
+//! The `jbc` execution engine: a pre-decoded fast dispatch loop.
 //!
 //! [`Interpreter::run`] executes the compiled form ([`CompiledImage`]): a
 //! flat `Vec<Op>` per method with interned string constants, resolved call
@@ -10,15 +9,16 @@
 //! the existing 1024-instruction safepoints; fuel is charged per dispatched
 //! op (by its fused cost) rather than one atomic RMW per wire instruction.
 //!
-//! [`Interpreter::run_seed`] is the original recursive `match`-loop over
-//! the wire [`Insn`] form, kept as the executable specification: the
-//! differential corpus ([`super::difftest`]) and experiment E18 run both
-//! engines over the same images and assert identical results, traps, and
-//! counters. Semantics — trap messages and ordering, the cumulative
-//! 1024-instruction safepoint cadence, fuel charging, call-depth limits —
-//! are defined by the seed loop and replicated exactly by the fast loop
-//! (fused ops charge their component count, so fusion is invisible to
-//! fuel, accounting, and preemption).
+//! The executable specification it is tested against is the seed engine,
+//! [`Seed`](super::difftest::Seed): the original recursive `match`-loop
+//! over the wire [`Insn`](super::Insn) form, which lives outside the
+//! production path. The differential corpus ([`super::difftest`]) and
+//! experiment E18 run both engines over the same images and assert
+//! identical results, traps, and counters. Semantics — trap messages and
+//! ordering, the cumulative 1024-instruction safepoint cadence, fuel
+//! charging, call-depth limits — are defined by the seed loop and
+//! replicated exactly by the fast loop (fused ops charge their component
+//! count, so fusion is invisible to fuel, accounting, and preemption).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,7 +28,7 @@ use jmp_obs::Profiler;
 use parking_lot::Mutex;
 
 use super::compile::{op, CompiledImage, Op};
-use super::image::{ClassImage, Insn, Value, OPCODE_COUNT, OPCODE_NAMES, OPCODE_WEIGHTS};
+use super::image::{ClassImage, Value, OPCODE_COUNT, OPCODE_NAMES, OPCODE_WEIGHTS};
 use crate::context::{AppContext, ResourceKind};
 use crate::error::VmError;
 use crate::snapshot::{FrameSnap, InterpSnapshot, SNAPSHOT_VERSION};
@@ -36,7 +36,7 @@ use crate::thread::check_interrupt;
 use crate::Result;
 
 /// The runtime services an interpreted class may invoke via
-/// [`Insn::CallNative`].
+/// [`Insn::CallNative`](super::Insn::CallNative).
 ///
 /// Implementations perform the ordinary security checks — when the host is
 /// consulted, the interpreted class's protection domain is on the caller's
@@ -72,14 +72,15 @@ impl NativeHost for NoNatives {
 ///
 /// `instructions` counts *wire* instructions (a fused superinstruction
 /// charges its component count), so the number is engine-independent;
-/// `dispatches` counts ops the fast loop dispatched (0 under
-/// [`Interpreter::run_seed`]) — the gap between the two is the fusion win.
+/// `dispatches` counts ops the fast loop dispatched (0 for the
+/// [`Seed`](super::difftest::Seed)) — the gap between the two is the
+/// fusion win.
 #[derive(Debug, Default)]
 pub struct InterpStats {
-    instructions: AtomicU64,
+    pub(super) instructions: AtomicU64,
     dispatches: AtomicU64,
-    native_calls: AtomicU64,
-    method_calls: AtomicU64,
+    pub(super) native_calls: AtomicU64,
+    pub(super) method_calls: AtomicU64,
 }
 
 impl InterpStats {
@@ -89,7 +90,7 @@ impl InterpStats {
         self.instructions.load(Ordering::Relaxed)
     }
 
-    /// Compiled ops dispatched so far (0 for seed-loop runs).
+    /// Compiled ops dispatched so far (0 for seed runs).
     pub fn dispatches(&self) -> u64 {
         self.dispatches.load(Ordering::Relaxed)
     }
@@ -148,7 +149,7 @@ struct Pending {
 /// [`PROFILE_FLUSH_SAFEPOINTS`]th visit. The cadence is measured on the
 /// interpreter's *cumulative* instruction counter, so it is preserved
 /// across nested and repeated runs — and exactly matches the seed loop's.
-const INTERRUPT_CHECK_EVERY: u64 = 1024;
+pub(super) const INTERRUPT_CHECK_EVERY: u64 = 1024;
 
 /// Per-run opcode tally, flushed to the VM [`Profiler`] at safepoints.
 ///
@@ -254,7 +255,7 @@ impl ProfTally {
 /// Maximum intra-class call depth. The fast loop's frames live on the heap
 /// (no host-stack recursion), but the limit is part of the observable
 /// semantics the seed loop defined, so both engines enforce the same bound.
-const MAX_CALL_DEPTH: usize = 64;
+pub(super) const MAX_CALL_DEPTH: usize = 64;
 
 /// A caller's registers, saved across an intra-class call by the fast
 /// loop's explicit frame stack.
@@ -265,13 +266,6 @@ struct FrameState {
     /// Whether the *callee* published a profloc frame (popped on return).
     callee_guarded: bool,
 }
-
-/// How many arenas an idle interpreter keeps warm for reuse across runs
-/// (and across threads sharing one interpreter). Runs attributed to an
-/// application prefer the per-app pool on its [`AppContext`] (whose
-/// `Memory` charge stays resident between runs and is reclaimed in one
-/// bulk uncharge at reap).
-const ARENA_POOL_CAP: usize = 8;
 
 /// Bytes one arena slot occupies, for the `Memory` quota.
 const VAL_BYTES: u64 = std::mem::size_of::<Value>() as u64;
@@ -382,7 +376,6 @@ pub struct Interpreter {
     stats: InterpStats,
     fuel: Option<u64>,
     profiler: Option<Profiler>,
-    arena_pool: Mutex<Vec<Vec<Value>>>,
     /// Cumulative instruction count at which to park for a checkpoint
     /// (`u64::MAX` = never). One-shot: cleared when the park fires.
     checkpoint_at: AtomicU64,
@@ -424,7 +417,6 @@ impl Interpreter {
             stats: InterpStats::default(),
             fuel: None,
             profiler: None,
-            arena_pool: Mutex::new(Vec::new()),
             checkpoint_at: AtomicU64::new(u64::MAX),
             snapshot_slot: Mutex::new(None),
         }
@@ -491,26 +483,6 @@ impl Interpreter {
         result
     }
 
-    /// Runs `method` with `args` on the original (seed) recursive
-    /// `match`-loop over the wire instruction form.
-    ///
-    /// Kept as the executable specification of `jbc` semantics: the
-    /// differential corpus and experiment E18 run both engines over the
-    /// same images in the same binary. It still pays the seed costs — one
-    /// global atomic RMW per instruction, fresh locals/stack vectors per
-    /// call — so it doubles as an honest in-run baseline.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`Interpreter::run`].
-    pub fn run_seed(&self, method: &str, args: Vec<Value>) -> Result<Value> {
-        let mut budget = self.fuel;
-        let mut prof = ProfTally::new(self.profiler.as_ref());
-        let result = self.run_method_seed(method, args, 0, &mut budget, &mut prof);
-        prof.flush();
-        result
-    }
-
     /// Prepares a fresh entry frame for `method` and hands it to the
     /// dispatch loop ([`Interpreter::exec`]).
     fn run_compiled(
@@ -532,14 +504,13 @@ impl Interpreter {
             )));
         }
 
-        // Application-attributed runs check their arena out of the per-app
-        // pool (the `Memory` charge for a pooled slab transfers with it);
-        // unattributed runs (benches, difftest) use the interpreter's own.
-        let app = crate::thread::current_app_context();
-        let (mut arena, arena_charged) = app
-            .as_ref()
+        // Application-attributed runs — every run the runtime makes — check
+        // their arena out of the per-app pool (the `Memory` charge for a
+        // pooled slab transfers with it); unattributed runs (benches,
+        // difftest) allocate a fresh one.
+        let (mut arena, arena_charged) = crate::thread::current_app_context()
             .and_then(|ctx| ctx.take_arena())
-            .unwrap_or_else(|| (self.arena_pool.lock().pop().unwrap_or_default(), 0));
+            .unwrap_or_default();
         arena.resize(methods[entry].frame_size as usize, Value::Null);
         let sp = usize::from(methods[entry].locals);
         for (slot, arg) in args.drain(..).enumerate() {
@@ -1225,240 +1196,29 @@ impl Interpreter {
             // with its charge resident (reclaimed in bulk at reap).
             Some(g) if parked => g.settle_drop(),
             Some(g) => g.settle_pool(arena),
-            None => {
-                let mut pool = self.arena_pool.lock();
-                if pool.len() < ARENA_POOL_CAP {
-                    pool.push(arena);
-                }
-            }
+            None => {}
         }
         outcome
     }
-
-    /// The seed recursive interpreter over the wire [`Insn`] form — the
-    /// executable specification `run_compiled` is tested against.
-    fn run_method_seed(
-        &self,
-        method: &str,
-        args: Vec<Value>,
-        depth: usize,
-        budget: &mut Option<u64>,
-        prof: &mut ProfTally,
-    ) -> Result<Value> {
-        if depth >= MAX_CALL_DEPTH {
-            return Err(VmError::trap(format!(
-                "call depth exceeds {MAX_CALL_DEPTH}"
-            )));
-        }
-        let image = self.compiled.image();
-        let mi = image
-            .methods
-            .iter()
-            .position(|m| m.name == method)
-            .ok_or_else(|| VmError::trap(format!("no such method: {method}")))?;
-        let m = &image.methods[mi];
-        if args.len() != usize::from(m.params) {
-            return Err(VmError::trap(format!(
-                "method {method} takes {} args, got {}",
-                m.params,
-                args.len()
-            )));
-        }
-        let mut locals = vec![Value::Null; usize::from(m.locals)];
-        locals[..args.len()].clone_from_slice(&args);
-        // Publish "Class.method" to the sampling profiler for the duration
-        // of this frame (no-op when sampling is off or no profiler exists).
-        // The label was interned at compile time (satellite of the same
-        // fix in the fast loop).
-        let _loc = match prof.profiler() {
-            Some(p) if p.sampling_enabled() => Some(crate::profloc::frame_arc(
-                &self.compiled.methods()[mi].qualified,
-                Some(p),
-            )),
-            _ => None,
-        };
-        let mut stack: Vec<Value> = Vec::with_capacity(8);
-        let mut pc: usize = 0;
-        loop {
-            let count = self.stats.instructions.fetch_add(1, Ordering::Relaxed) + 1;
-            if count.is_multiple_of(INTERRUPT_CHECK_EVERY) {
-                prof.at_safepoint();
-                check_interrupt()?;
-            }
-            if let Some(fuel) = budget {
-                if *fuel == 0 {
-                    return Err(VmError::trap("fuel exhausted"));
-                }
-                *fuel -= 1;
-            }
-            // The verifier guarantees pc validity and stack discipline; the
-            // `expect`s below are unreachable for verified images.
-            let insn = &m.code[pc];
-            pc += 1;
-            // Wire opcodes are 0..BASE_OPCODE_COUNT, always a byte.
-            prof.tally(insn.opcode() as u8);
-            match insn {
-                Insn::PushInt(v) => stack.push(Value::Int(*v)),
-                Insn::PushStr(s) => stack.push(Value::str(s)),
-                Insn::PushBool(b) => stack.push(Value::Bool(*b)),
-                Insn::PushNull => stack.push(Value::Null),
-                Insn::Load(slot) => stack.push(locals[usize::from(*slot)].clone()),
-                Insn::Store(slot) => {
-                    locals[usize::from(*slot)] = pop(&mut stack)?;
-                }
-                Insn::Pop => {
-                    pop(&mut stack)?;
-                }
-                Insn::Dup => {
-                    let top = stack
-                        .last()
-                        .cloned()
-                        .ok_or_else(|| VmError::trap("dup on empty stack"))?;
-                    stack.push(top);
-                }
-                Insn::Swap => {
-                    let a = pop(&mut stack)?;
-                    let b = pop(&mut stack)?;
-                    stack.push(a);
-                    stack.push(b);
-                }
-                Insn::Add => binary_int(&mut stack, |a, b| a.wrapping_add(b))?,
-                Insn::Sub => binary_int(&mut stack, |a, b| a.wrapping_sub(b))?,
-                Insn::Mul => binary_int(&mut stack, |a, b| a.wrapping_mul(b))?,
-                Insn::Div => checked_div(&mut stack, false)?,
-                Insn::Rem => checked_div(&mut stack, true)?,
-                Insn::Neg => {
-                    let v = pop_int(&mut stack)?;
-                    stack.push(Value::Int(v.wrapping_neg()));
-                }
-                Insn::Concat => {
-                    let b = pop(&mut stack)?;
-                    let a = pop(&mut stack)?;
-                    stack.push(Value::concat(&a, &b));
-                }
-                Insn::Eq => binary_cmp(&mut stack, |a, b| a == b)?,
-                Insn::Ne => binary_cmp(&mut stack, |a, b| a != b)?,
-                Insn::Lt => binary_int_cmp(&mut stack, |a, b| a < b)?,
-                Insn::Le => binary_int_cmp(&mut stack, |a, b| a <= b)?,
-                Insn::Gt => binary_int_cmp(&mut stack, |a, b| a > b)?,
-                Insn::Ge => binary_int_cmp(&mut stack, |a, b| a >= b)?,
-                Insn::And => binary_bool(&mut stack, |a, b| a && b)?,
-                Insn::Or => binary_bool(&mut stack, |a, b| a || b)?,
-                Insn::Not => {
-                    let v = pop(&mut stack)?;
-                    stack.push(Value::Bool(!v.is_truthy()));
-                }
-                Insn::Jump(t) => pc = usize::from(*t),
-                Insn::JumpIfFalse(t) => {
-                    if !pop(&mut stack)?.is_truthy() {
-                        pc = usize::from(*t);
-                    }
-                }
-                Insn::JumpIfTrue(t) => {
-                    if pop(&mut stack)?.is_truthy() {
-                        pc = usize::from(*t);
-                    }
-                }
-                Insn::Call {
-                    method: callee,
-                    argc,
-                } => {
-                    self.stats.method_calls.fetch_add(1, Ordering::Relaxed);
-                    let mut call_args = split_args(&mut stack, *argc)?;
-                    call_args.reverse();
-                    let result =
-                        self.run_method_seed(callee, call_args, depth + 1, budget, prof)?;
-                    stack.push(result);
-                }
-                Insn::CallNative { name, argc } => {
-                    self.stats.native_calls.fetch_add(1, Ordering::Relaxed);
-                    let mut call_args = split_args(&mut stack, *argc)?;
-                    call_args.reverse();
-                    let result = self.host.invoke(name, call_args)?;
-                    stack.push(result);
-                }
-                Insn::Return => return Ok(Value::Null),
-                Insn::ReturnValue => return pop(&mut stack),
-            }
-        }
-    }
 }
 
-fn expected_int(other: &Value) -> VmError {
+/// The trap both engines raise when an operand is not an integer.
+pub(super) fn expected_int(other: &Value) -> VmError {
     VmError::trap(format!("expected int, got {other}"))
-}
-
-fn pop(stack: &mut Vec<Value>) -> Result<Value> {
-    stack
-        .pop()
-        .ok_or_else(|| VmError::trap("operand stack underflow"))
-}
-
-fn pop_int(stack: &mut Vec<Value>) -> Result<i64> {
-    match pop(stack)? {
-        Value::Int(v) => Ok(v),
-        other => Err(expected_int(&other)),
-    }
-}
-
-fn binary_int(stack: &mut Vec<Value>, f: impl Fn(i64, i64) -> i64) -> Result<()> {
-    let b = pop_int(stack)?;
-    let a = pop_int(stack)?;
-    stack.push(Value::Int(f(a, b)));
-    Ok(())
-}
-
-fn checked_div(stack: &mut Vec<Value>, rem: bool) -> Result<()> {
-    let b = pop_int(stack)?;
-    let a = pop_int(stack)?;
-    if b == 0 {
-        return Err(VmError::trap("division by zero"));
-    }
-    stack.push(Value::Int(if rem {
-        a.wrapping_rem(b)
-    } else {
-        a.wrapping_div(b)
-    }));
-    Ok(())
-}
-
-fn binary_int_cmp(stack: &mut Vec<Value>, f: impl Fn(i64, i64) -> bool) -> Result<()> {
-    let b = pop_int(stack)?;
-    let a = pop_int(stack)?;
-    stack.push(Value::Bool(f(a, b)));
-    Ok(())
-}
-
-fn binary_cmp(stack: &mut Vec<Value>, f: impl Fn(&Value, &Value) -> bool) -> Result<()> {
-    let b = pop(stack)?;
-    let a = pop(stack)?;
-    stack.push(Value::Bool(f(&a, &b)));
-    Ok(())
-}
-
-fn binary_bool(stack: &mut Vec<Value>, f: impl Fn(bool, bool) -> bool) -> Result<()> {
-    let b = pop(stack)?.is_truthy();
-    let a = pop(stack)?.is_truthy();
-    stack.push(Value::Bool(f(a, b)));
-    Ok(())
-}
-
-fn split_args(stack: &mut Vec<Value>, argc: u8) -> Result<Vec<Value>> {
-    let mut args = Vec::with_capacity(usize::from(argc));
-    for _ in 0..argc {
-        args.push(pop(stack)?);
-    }
-    Ok(args)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::image::MethodImage;
-    use parking_lot::Mutex;
+    use crate::interp::difftest::Seed;
+    use crate::interp::image::{Insn, MethodImage};
 
     fn interp(image: ClassImage) -> Interpreter {
         Interpreter::new(Arc::new(image), Arc::new(NoNatives)).unwrap()
+    }
+
+    fn seed(image: ClassImage) -> Seed {
+        Seed::new(Arc::new(image), Arc::new(NoNatives)).unwrap()
     }
 
     fn single(code: Vec<Insn>, params: u8, locals: u8) -> ClassImage {
@@ -1760,23 +1520,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_loop_accounting_still_tallies_wire_opcodes() {
-        let profiler = jmp_obs::Profiler::new();
-        let i = interp(single(sum_loop(), 0, 2)).with_profiler(profiler.clone());
-        assert_eq!(i.run_seed("main", vec![]).unwrap(), Value::Int(125_250));
-        let report = profiler.report();
-        assert_eq!(report.vm.instructions, i.stats().instructions());
-        assert_eq!(i.stats().dispatches(), 0, "seed loop never dispatches");
-        let add = report
-            .vm
-            .opcodes
-            .iter()
-            .find(|o| o.opcode == "add")
-            .expect("add opcode accounted");
-        assert!(add.count >= 500, "two adds per iteration: {}", add.count);
-    }
-
-    #[test]
     fn accounting_toggle_takes_effect_at_safepoints() {
         let profiler = jmp_obs::Profiler::new();
         profiler.set_accounting(false);
@@ -1854,10 +1597,10 @@ mod tests {
     #[test]
     fn seed_and_compiled_agree_on_the_sum_loop() {
         let a = interp(single(sum_loop(), 0, 2));
-        let b = interp(single(sum_loop(), 0, 2));
+        let b = seed(single(sum_loop(), 0, 2));
         assert_eq!(
             a.run("main", vec![]).unwrap(),
-            b.run_seed("main", vec![]).unwrap()
+            b.run("main", vec![]).unwrap()
         );
         assert_eq!(a.stats().instructions(), b.stats().instructions());
     }
@@ -1875,21 +1618,23 @@ mod tests {
             Insn::Return,
         ];
         let fast = interp(single(code.clone(), 1, 1));
-        let seed = interp(single(code, 1, 1));
+        let spec = seed(single(code, 1, 1));
         let fast_err = fast.run("main", vec![Value::str("oops")]).unwrap_err();
-        let seed_err = seed.run_seed("main", vec![Value::str("oops")]).unwrap_err();
+        let seed_err = spec.run("main", vec![Value::str("oops")]).unwrap_err();
         assert_eq!(fast_err.to_string(), seed_err.to_string());
         assert!(fast_err.to_string().contains("expected int, got"));
-        assert_eq!(fast.stats().instructions(), seed.stats().instructions());
+        assert_eq!(fast.stats().instructions(), spec.stats().instructions());
     }
 
     #[test]
     fn arena_is_reused_across_runs() {
+        // Unattributed runs allocate a fresh arena; repeated runs on one
+        // interpreter must not leak state between them.
         let i = interp(single(sum_loop(), 0, 2));
         for _ in 0..5 {
             assert_eq!(i.run("main", vec![]).unwrap(), Value::Int(125_250));
         }
-        // Deep call chains also unwind cleanly back into the pool.
+        // Deep call chains also unwind cleanly.
         let fib = ClassImage {
             name: "F".into(),
             methods: vec![MethodImage {
@@ -1927,7 +1672,7 @@ mod tests {
         assert_eq!(
             i.run("fib", vec![Value::Int(10)]).unwrap(),
             Value::Int(55),
-            "second run reuses the pooled arena"
+            "second run starts from a clean arena"
         );
     }
 
@@ -2043,31 +1788,21 @@ mod tests {
         // scoped VM thread context, then run an infinite loop: both engines
         // must stop at the first safepoint — cumulative instruction 1024 —
         // with `Interrupted`.
-        let forever = || {
-            Interpreter::new(
-                Arc::new(single(vec![Insn::Jump(0)], 0, 0)),
-                Arc::new(NoNatives),
-            )
-            .unwrap()
-        };
-        for compiled_loop in [true, false] {
-            let i = forever();
-            let err = crate::thread::with_interrupted_for_test(|| {
-                if compiled_loop {
-                    i.run("main", vec![])
-                } else {
-                    i.run_seed("main", vec![])
-                }
-            })
-            .unwrap_err();
-            assert!(
-                matches!(err, VmError::Interrupted),
-                "engine compiled={compiled_loop}: {err:?}"
-            );
+        let forever = || single(vec![Insn::Jump(0)], 0, 0);
+        let fast = interp(forever());
+        let spec = seed(forever());
+        let fast_err =
+            crate::thread::with_interrupted_for_test(|| fast.run("main", vec![])).unwrap_err();
+        let seed_err =
+            crate::thread::with_interrupted_for_test(|| spec.run("main", vec![])).unwrap_err();
+        for (engine, err, instructions) in [
+            ("compiled", fast_err, fast.stats().instructions()),
+            ("seed", seed_err, spec.stats().instructions()),
+        ] {
+            assert!(matches!(err, VmError::Interrupted), "{engine}: {err:?}");
             assert_eq!(
-                i.stats().instructions(),
-                INTERRUPT_CHECK_EVERY,
-                "engine compiled={compiled_loop} stopped at the first safepoint"
+                instructions, INTERRUPT_CHECK_EVERY,
+                "{engine} stopped at the first safepoint"
             );
         }
     }

@@ -5,7 +5,7 @@
 //! *Remote Playground* pool needs): the interpreter parks at a safepoint
 //! — an op boundary where no instruction is half-charged — and serializes
 //! its continuation as an [`InterpSnapshot`]. The snapshot embeds the
-//! mobile-code [`ClassImage`] itself (class-define-time compilation is
+//! mobile-code [`ClassImage`](crate::interp::ClassImage) itself (class-define-time compilation is
 //! deterministic, so the restoring VM recompiles to the identical op
 //! stream), every live frame, the value arena, the remaining fuel, and the
 //! cumulative instruction accounting — enough for a resumed run to produce

@@ -28,8 +28,8 @@ impl fmt::Display for ThreadId {
 /// woken explicitly through an [interrupt waker]
 /// (`register_interrupt_waker`). A parked fleet of 10,000 applications
 /// sleeping in `jmp_vm::thread::sleep` costs zero wakeups (and, parked on
-/// its [`SleepChannel`]s rather than in futex waits, leaves the kernel's
-/// futex tables alone); with the old 5 ms poll it cost 2 million timer
+/// its per-thread sleep channels rather than in futex waits, leaves the
+/// kernel's futex tables alone); with the old 5 ms poll it cost 2 million timer
 /// fires a second.
 pub const BLOCK_POLL: Duration = Duration::from_millis(5);
 

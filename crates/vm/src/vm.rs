@@ -285,8 +285,8 @@ impl Vm {
 
     /// Replaces the policy. Requires `RuntimePermission("setPolicy")`.
     ///
-    /// The publication never queues behind in-flight checks (see
-    /// [`EpochCell`]), so a reload completes even while every other thread
+    /// The publication never queues behind in-flight checks (the policy
+    /// root is striped per reader thread), so a reload completes even while every other thread
     /// spins on cold checks. Any lazily cached per-user grants attached to
     /// the incoming policy are invalidated before it is published, and the
     /// decision-cache epoch is bumped after — together with the
