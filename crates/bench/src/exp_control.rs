@@ -19,15 +19,20 @@
 //! * **E19b** — the lazy store at scale: one million provisioned users,
 //!   resident grant entries bounded by the shard caps, and a sampled
 //!   cold/warm/invalidate sweep with zero grant divergences.
+//! * **E19c** — two primitives one call at a time: a policy-root read
+//!   beside three threads doing nothing but root reads, and the cold load
+//!   a user's first demand pays.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use jmp_core::MpRuntime;
 use jmp_security::{FileActions, LazyUserStore, Permission, TemplateGrantSource};
+use jmp_vm::Vm;
 
-use crate::harness::{register_app, standard_runtime};
-use crate::table::{ok, Table};
+use crate::harness::{median, per_call_minima, register_app, standard_runtime, ARM_ROUNDS};
+use crate::table::{fmt_ns, ok, Table};
 use crate::Report;
 
 /// The small-fleet baseline.
@@ -55,15 +60,12 @@ const SPAWN_WARMUP: usize = 8;
 const BATCHES: usize = 32;
 /// Iterations per batch.
 const BATCH_ITERS: usize = 2_048;
+/// Calls per round of the E19c arms.
+const ARM_CALLS: u32 = 500;
 
 /// Acceptance gate of the full run: large-fleet medians within 1.5x of the
 /// small-fleet baselines.
 const FULL_GATE: f64 = 1.5;
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
 
 /// Median per-operation medians at one fleet size.
 struct OpMedians {
@@ -182,6 +184,64 @@ fn divergence_sweep(rt: &MpRuntime) -> usize {
     divergences
 }
 
+/// E19c: the contended policy-root read (three reader threads, stopped and
+/// joined before the table is built) and the cold lazy load, on a fresh
+/// store so E19b's counts stay its own. Runs with the large fleet still
+/// parked, after every E19a/E19b measurement.
+fn primitives_table(vm: &Vm) -> Table {
+    let store = LazyUserStore::new(Arc::new(TemplateGrantSource::new(
+        "u",
+        PROVISIONED_USERS,
+        USER_TEMPLATE,
+    )));
+    let mut next = 0;
+    let [cold_ns] = per_call_minima(
+        ARM_ROUNDS,
+        ARM_CALLS,
+        [&mut || {
+            std::hint::black_box(store.lookup(&format!("u{next}")));
+            next += 1;
+        }],
+    );
+    let stop = AtomicBool::new(false);
+    let [contended_ns] = std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::black_box(vm.policy());
+                }
+            });
+        }
+        let costs = per_call_minima(
+            ARM_ROUNDS,
+            ARM_CALLS,
+            [&mut || {
+                std::hint::black_box(vm.policy());
+            }],
+        );
+        stop.store(true, Ordering::Relaxed);
+        costs
+    });
+    let mut table = Table::new(
+        "E19c",
+        "control-plane primitives, per call",
+        &["operation", "per call"],
+    );
+    for (operation, ns) in [
+        ("policy-root read beside 3 reader threads", contended_ns),
+        ("cold lazy grant load (a new user per call)", cold_ns),
+    ] {
+        table.rowd(&[operation, &fmt_ns(ns)]);
+    }
+    table.note(format!(
+        "round minima of {ARM_ROUNDS} rounds x {ARM_CALLS} calls per arm. shape: the striped \
+         root keeps readers off each other's cache lines, so the contended read stays near \
+         E19a's uncontended one; a cold load (read + parse + index) is µs-scale, paid once \
+         per demanded user"
+    ));
+    table
+}
+
 /// Machine-readable summary of the E19 run (`BENCH_E19.json`).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct E19Summary {
@@ -271,6 +331,8 @@ fn run_control(large_fleet: usize, gate: f64) -> Report {
     let provisioned = store.provisioned_users().unwrap_or(0);
     let resident = store.resident_users();
     let loads = store.loads();
+    // The parked fleet is idle; its teardown below is not.
+    let e19c = primitives_table(rt.vm());
 
     for app in &fleet {
         app.stop(0).expect("parker stops");
@@ -429,7 +491,7 @@ fn run_control(large_fleet: usize, gate: f64) -> Report {
         store_loads: loads,
         divergences,
     };
-    Report::bench("BENCH_E19.json", &summary, vec![e19a, e19b])
+    Report::bench("BENCH_E19.json", &summary, vec![e19a, e19b, e19c])
 }
 
 /// Runs E19 at full scale.
@@ -454,7 +516,7 @@ mod tests {
         let report = run_control(TEST_LARGE_FLEET, TEST_GATE);
         let tables = &report.tables;
         let summary: E19Summary = report.summary("BENCH_E19.json");
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 3);
         assert!(
             !tables
                 .iter()

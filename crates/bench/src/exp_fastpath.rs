@@ -8,15 +8,17 @@
 //! trustworthy: a grant added by the reload is honored and a revoked grant
 //! is denied on the very next check.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
 use jmp_security::{
-    interned_domain_count, CodeSource, FileActions, Permission, Policy, ProtectionDomain,
+    interned_domain_count, AccessContext, AccessController, CodeSource, FileActions, Permission,
+    PermissionCollection, Policy, ProtectionDomain,
 };
 use jmp_vm::{stack, Vm};
 
-use crate::harness::{round_minima, standard_runtime, time_ns};
+use crate::harness::{per_call_minima, round_minima, standard_runtime, time_ns, ARM_ROUNDS};
 use crate::table::{fmt_ns, ok, Table};
 
 /// Cold iterations (each preceded by a cache flush) and warm iterations,
@@ -25,6 +27,8 @@ use crate::table::{fmt_ns, ok, Table};
 const COLD_ITERS: u32 = 2_000;
 const WARM_ITERS: u32 = 50_000;
 const PASSES: usize = 3;
+/// Calls per round of the E13d arms.
+const ARM_CALLS: u32 = 1_000;
 
 /// Runs `f` under a stack of `domains` (oldest first), like nested
 /// application frames. Shared with E17, which re-measures the same warm
@@ -246,9 +250,94 @@ fn reload_table() -> Table {
     table
 }
 
+/// E13 table 4: the parts of a check, one call at a time — the memoized
+/// fingerprint probe against the context snapshot it replaces, the §5.3
+/// user-grant combination, a `doPrivileged` frame cutting a deep walk
+/// short, and one frame push.
+fn parts_table() -> Table {
+    let vm = Vm::builder().policy(bench_policy()).build();
+    let domains = bench_domains(&vm, 8);
+    let trusted = Arc::new(ProtectionDomain::new(
+        CodeSource::local("file:/sys/bench"),
+        PermissionCollection::all_permissions(),
+    ));
+    let exercising = Arc::new(ProtectionDomain::new(
+        CodeSource::local("file:/apps/bench"),
+        [Permission::exercise_user_permissions()]
+            .into_iter()
+            .collect(),
+    ));
+    let stack_of = |domain: &Arc<ProtectionDomain>, depth| {
+        AccessContext::from_domains(vec![Arc::clone(domain); depth])
+    };
+    let (code_only, user_routed) = (stack_of(&trusted, 8), stack_of(&exercising, 8));
+    let deep = stack_of(&trusted, 64);
+    let privileged = stack_of(&trusted, 63).with_frame(Arc::clone(&trusted), true);
+    let mut policy = Policy::new();
+    let home = Permission::file("/home/alice/bench.txt", FileActions::READ);
+    policy.grant_user(
+        "alice",
+        vec![Permission::file("/home/alice/-", FileActions::ALL)],
+    );
+    let tmp = Permission::file("/tmp/bench.txt", FileActions::READ);
+    let granted = "the context grants the demand";
+    let costs = with_frames(&domains, || {
+        per_call_minima(
+            ARM_ROUNDS,
+            ARM_CALLS,
+            [
+                &mut || {
+                    black_box(stack::probe_fingerprint());
+                },
+                &mut || {
+                    black_box(stack::current_access_context().fingerprint());
+                },
+                &mut || {
+                    AccessController::check_with(&code_only, &home, None, &policy).expect(granted)
+                },
+                &mut || {
+                    AccessController::check_with(&user_routed, &home, Some("alice"), &policy)
+                        .expect(granted)
+                },
+                &mut || AccessController::check(&deep, &tmp).expect(granted),
+                &mut || AccessController::check(&privileged, &tmp).expect(granted),
+                &mut || stack::call_as("Bench", Arc::clone(&trusted), || {}),
+            ],
+        )
+    });
+    let mut table = Table::new(
+        "E13d",
+        "access fast path — the parts of a check, per call",
+        &["arm", "per call"],
+    );
+    let arms = [
+        "fingerprint probe (memoized), 8 frames",
+        "context snapshot + fingerprint, 8 frames",
+        "code-source grant, 8-frame walk",
+        "code + user grant (§5.3), 8-frame walk",
+        "64-frame walk",
+        "64-frame walk, doPrivileged frame on top",
+        "frame push + pop (call_as)",
+    ];
+    for (arm, ns) in arms.into_iter().zip(costs) {
+        table.rowd(&[arm.to_string(), fmt_ns(ns)]);
+    }
+    table.note(format!(
+        "round minima of {ARM_ROUNDS} interleaved rounds x {ARM_CALLS} calls per arm."
+    ));
+    table.note("shape: the probe costs a fraction of the snapshot it replaces; the user path");
+    table.note("adds a policy probe; a privileged frame on top flattens the 64-frame walk.");
+    table
+}
+
 /// E13: the experiment tables.
 pub fn e13_access_fastpath() -> Vec<Table> {
-    vec![latency_table(), hit_rate_table(), reload_table()]
+    vec![
+        latency_table(),
+        hit_rate_table(),
+        reload_table(),
+        parts_table(),
+    ]
 }
 
 #[cfg(test)]
@@ -259,7 +348,7 @@ mod tests {
     fn e13_runs_and_warm_beats_cold() {
         let _serial = crate::harness::latency_test_guard();
         let tables = e13_access_fastpath();
-        assert_eq!(tables.len(), 3);
+        assert_eq!(tables.len(), 4);
         // Every functional row in the reload table must be ok.
         assert!(
             !tables

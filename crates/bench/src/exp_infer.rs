@@ -19,7 +19,7 @@ use jmp_security::{grant_count, FileActions, Permission, Policy};
 use jmp_vm::Vm;
 
 use crate::exp_fastpath::{bench_domains, bench_policy, with_frames};
-use crate::harness::{experiment_policy, round_minima, standard_runtime, time_ns};
+use crate::harness::{experiment_policy, per_call_minima, standard_runtime};
 use crate::table::{fmt_ns, ok, Table};
 use crate::{Artifact, Report};
 
@@ -141,14 +141,13 @@ fn warm_ns(ledger_on: bool) -> f64 {
     let demand = Permission::file("/data/report.txt", FileActions::READ);
     with_frames(&domains, || {
         vm.access_check(&demand).expect("policy grants the demand");
-        let [best] = round_minima(PASSES, || {
-            let total = time_ns(|| {
-                for _ in 0..WARM_ITERS {
-                    vm.access_check(&demand).expect("granted");
-                }
-            });
-            [total / f64::from(WARM_ITERS)]
-        });
+        let [best] = per_call_minima(
+            PASSES,
+            WARM_ITERS,
+            [&mut || {
+                vm.access_check(&demand).expect("granted");
+            }],
+        );
         best
     })
 }

@@ -6,11 +6,12 @@
 //!
 //! * **E18a** — per-wire-instruction cost of the seed engine
 //!   ([`Seed::run`], the executable specification) vs the
-//!   pre-decoded engine ([`Interpreter::run`]) on four workloads:
+//!   pre-decoded engine ([`Interpreter::run`]) on five workloads:
 //!   an arithmetic sum loop (the headline), recursive `fib` (call/frame
 //!   heavy), a string-concat loop (allocation bound, so dispatch gains
-//!   are diluted), and a loop of security-checked native calls driven
-//!   through a real [`Vm`] policy walk (the per-site inline cache).
+//!   are diluted), a loop of security-checked native calls driven
+//!   through a real [`Vm`] policy walk (the per-site inline cache), and
+//!   the same loop against an unchecked host (native dispatch alone).
 //! * **E18b** — dispatch/fusion accounting on the sum loop: wire
 //!   instructions executed vs ops actually dispatched, i.e. how much of
 //!   the dispatch loop superinstructions eliminated.
@@ -32,7 +33,8 @@ use jmp_vm::interp::{assemble, Interpreter, NativeHost, NoNatives, Value};
 use jmp_vm::Vm;
 
 use crate::exp_fastpath::{bench_domains, bench_policy, with_frames};
-use crate::harness::{round_minima, time_ns};
+use crate::exp_profile::Ping;
+use crate::harness::{per_call_minima, wire_insns, SUM_LOOP};
 use crate::table::Table;
 use crate::Report;
 
@@ -44,32 +46,6 @@ const NATIVE_N: i64 = 2_000;
 const FIB_N: i64 = 18;
 /// Interleaved seed/compiled rounds per workload (round minima).
 const ROUNDS: usize = 21;
-
-/// Arithmetic-heavy loop; every body instruction participates in a
-/// superinstruction (compare-and-branch pairs, load/op/store fusions).
-const SUM: &str = r#"
-    class Sum
-    method main/1 locals=2
-        push_int 0
-        store 1
-    loop:
-        load 0
-        push_int 0
-        gt
-        jump_if_false done
-        load 1
-        load 0
-        add
-        store 1
-        load 0
-        push_int 1
-        sub
-        store 0
-        jump loop
-    done:
-        load 1
-        return_value
-"#;
 
 /// Call-heavy recursion: exercises frame reuse and resolved call sites.
 const FIB: &str = r#"
@@ -124,8 +100,8 @@ const STR_BUILD: &str = r#"
         return_value
 "#;
 
-/// A loop of natives, each performing a full security check against the
-/// VM policy with application frames on the stack.
+/// A loop of natives: under [`CheckedHost`] each performs a full security
+/// check against the VM policy with application frames on the stack.
 const NATIVE_LOOP: &str = r#"
     class Nat
     method main/1 locals=1
@@ -200,29 +176,18 @@ fn measure((seed, compiled): &(Seed, Interpreter), arg: i64) -> Measured {
 
     // The per-run wire-instruction count, measured on each engine — the
     // batched accounting must land on exactly the seed's count.
-    let before = seed.stats().instructions();
-    seed.run("main", run_arg()).expect("seed runs");
-    let seed_insns = seed.stats().instructions() - before;
-    let before = compiled.stats().instructions();
-    compiled.run("main", run_arg()).expect("compiled runs");
-    let compiled_insns = compiled.stats().instructions() - before;
+    let mut seed_run = || drop(seed.run("main", run_arg()).expect("seed runs"));
+    let mut compiled_run = || drop(compiled.run("main", run_arg()).expect("compiled runs"));
+    let seed_insns = wire_insns(seed.stats(), seed_run);
+    let compiled_insns = wire_insns(compiled.stats(), compiled_run);
     assert_eq!(seed_insns, compiled_insns, "identical instruction charge");
 
-    let insns = seed_insns as f64;
-    let [seed_best, compiled_best] = round_minima(ROUNDS, || {
-        [
-            time_ns(|| {
-                seed.run("main", run_arg()).expect("seed runs");
-            }) / insns,
-            time_ns(|| {
-                compiled.run("main", run_arg()).expect("compiled runs");
-            }) / insns,
-        ]
-    });
+    let [seed_ns, compiled_ns] = per_call_minima(ROUNDS, 1, [&mut seed_run, &mut compiled_run])
+        .map(|ns| ns / seed_insns as f64);
     Measured {
         wire_insns: seed_insns,
-        seed_ns: seed_best,
-        compiled_ns: compiled_best,
+        seed_ns,
+        compiled_ns,
     }
 }
 
@@ -255,8 +220,8 @@ pub struct E18Summary {
 
 /// Runs E18: the tables plus `BENCH_E18.json`.
 pub fn e18_interp() -> Report {
-    // -- E18a: throughput, four workloads ------------------------------
-    let sum = measure(&engines(SUM, Arc::new(NoNatives)), SUM_N);
+    // -- E18a: throughput, five workloads ------------------------------
+    let sum = measure(&engines(SUM_LOOP, Arc::new(NoNatives)), SUM_N);
     let fib = measure(&engines(FIB, Arc::new(NoNatives)), FIB_N);
     let concat = measure(&engines(STR_BUILD, Arc::new(NoNatives)), STR_N);
 
@@ -268,6 +233,7 @@ pub fn e18_interp() -> Report {
     });
     let native_engines = engines(NATIVE_LOOP, host);
     let native = with_frames(&domains, || measure(&native_engines, NATIVE_N));
+    let unchecked = measure(&engines(NATIVE_LOOP, Arc::new(Ping)), NATIVE_N);
 
     let mut e18a = Table::new(
         "E18a",
@@ -285,6 +251,7 @@ pub fn e18_interp() -> Report {
         ("fib 18 (call-heavy)", &fib),
         ("concat loop (alloc-bound)", &concat),
         ("checked natives (policy walk)", &native),
+        ("unchecked natives (host call)", &unchecked),
     ] {
         e18a.rowd(&[
             label.to_string(),
@@ -300,7 +267,7 @@ pub fn e18_interp() -> Report {
 
     // -- E18b: dispatch/fusion accounting ------------------------------
     let fusion_interp = Interpreter::new(
-        Arc::new(assemble(SUM).expect("sum assembles")),
+        Arc::new(assemble(SUM_LOOP).expect("sum assembles")),
         Arc::new(NoNatives),
     )
     .expect("sum verifies");

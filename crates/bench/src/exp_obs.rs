@@ -1,15 +1,23 @@
 //! E11: the observability hub end to end — a scripted session generates
 //! security checks, a denial, pipe traffic and application lifecycle
 //! events, and the hub's snapshot is checked (and exported in
-//! `experiments-run.json`).
+//! `experiments-run.json`) — plus what the hooks cost per call.
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use jmp_obs::{HubSnapshot, ProfileReport};
+use jmp_obs::{CacheOutcome, EventKind, EventSink, HubSnapshot, ObsHub, ProfileReport};
+use jmp_security::{
+    AccessController, CodeSource, Permission, PermissionCollection, ProtectionDomain,
+};
 use jmp_shell::spawn_login_session;
+use jmp_vm::{stack, Vm};
 
-use crate::harness::standard_runtime;
-use crate::table::Table;
+use crate::harness::{per_call_minima, standard_runtime, ARM_ROUNDS};
+use crate::table::{fmt_ns, Table};
+
+/// Calls per round of the hook-cost arms.
+const ARM_CALLS: u32 = 2_000;
 
 /// Runs the scripted session and samples the hub while the session is
 /// still live (reaping an application drops its per-app registry, so the
@@ -105,9 +113,60 @@ fn scripted_session() -> (Vec<Table>, HubSnapshot, ProfileReport) {
     (vec![table], snapshot, profile)
 }
 
-/// E11: the experiment tables.
+/// E11: the session's checks, then the per-call cost of the hooks: an
+/// event publish and the hub's granted-check accounting, each with the
+/// event sink live and disabled, and a granted check through the
+/// instrumented `Vm` chokepoint against the bare controller walk it wraps.
 pub fn e11_observability() -> Vec<Table> {
-    scripted_session().0
+    let mut tables = scripted_session().0;
+    let (live_sink, off_sink) = (EventSink::new(1024), EventSink::disabled());
+    let (live_hub, off_hub) = (ObsHub::new(), ObsHub::with_sink(EventSink::disabled()));
+    let account = |hub: &ObsHub| {
+        hub.record_access_check("", None, 8, Some("alice"), 250, CacheOutcome::Hit);
+    };
+    let vm = Vm::new();
+    let demand = Permission::runtime("benchPermission");
+    let trusted = Arc::new(ProtectionDomain::new(
+        CodeSource::local("file:/sys/bench"),
+        PermissionCollection::all_permissions(),
+    ));
+    let costs = stack::call_as("Bench", trusted, || {
+        per_call_minima(
+            ARM_ROUNDS,
+            ARM_CALLS,
+            [
+                &mut || live_sink.publish(EventKind::ClassDefined, Some(1), None, "Bench"),
+                &mut || off_sink.publish(EventKind::ClassDefined, Some(1), None, "Bench"),
+                &mut || account(&live_hub),
+                &mut || account(&off_hub),
+                &mut || vm.check_permission(&demand).expect("trusted"),
+                &mut || {
+                    AccessController::check(&stack::current_access_context(), &demand)
+                        .expect("trusted")
+                },
+            ],
+        )
+    });
+    vm.exit_unchecked(0);
+    let arms = [
+        "cost: event publish, sink live",
+        "cost: event publish, sink disabled",
+        "cost: granted-check accounting, sink live",
+        "cost: granted-check accounting, sink disabled",
+        "cost: granted check, instrumented Vm chokepoint",
+        "cost: granted check, bare controller walk",
+    ];
+    let table = &mut tables[0];
+    for (arm, ns) in arms.into_iter().zip(costs) {
+        table.rowd(&[arm.to_string(), fmt_ns(ns)]);
+    }
+    table.note(format!(
+        "cost rows: round minima of {ARM_ROUNDS} rounds x {ARM_CALLS} calls per arm. shape: a \
+         disabled publish is one atomic load; accounting is the same with the sink on or off \
+         (granted checks publish nothing); the instrumented check pays that accounting, and \
+         the decision cache, on top of the walk"
+    ));
+    tables
 }
 
 /// The metrics snapshot and profiler report `experiments-run.json` embeds

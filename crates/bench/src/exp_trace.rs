@@ -1,15 +1,16 @@
 //! E12: tracing overhead — the flight recorder on vs off on the two hot
-//! paths it instruments (security access checks and AWT event dispatch) —
-//! plus the Chrome `trace_event` export of a scripted scenario
-//! (`e12-chrome-trace.json`).
+//! paths it instruments (security access checks and AWT event dispatch)
+//! and at a bare span site — plus the Chrome `trace_event` export of a
+//! scripted scenario (`e12-chrome-trace.json`).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use jmp_awt::{DispatchMode, Toolkit};
+use jmp_obs::{trace, FlightRecorder, SpanCategory, TraceCtx};
 use jmp_security::Permission;
 
-use crate::harness::{register_app, standard_runtime};
+use crate::harness::{per_call_minima, register_app, standard_runtime, ARM_ROUNDS};
 use crate::table::{fmt_ns, Table};
 use crate::{Artifact, Report};
 
@@ -17,6 +18,8 @@ use crate::{Artifact, Report};
 const CHECKS: u64 = 20_000;
 /// Events pushed through the dispatcher per measurement.
 const EVENTS: usize = 400;
+/// Calls per round of the span-site arms.
+const SPAN_CALLS: u32 = 2_000;
 
 static CHECK_NS: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_NS: AtomicU64 = AtomicU64::new(0);
@@ -93,14 +96,7 @@ pub fn e12_trace_overhead() -> Report {
         "tracing on vs off — per-op cost of the instrumented hot paths",
         &["path", "recorder off", "recorder on", "delta"],
     );
-    type Measure = fn(bool) -> f64;
-    let paths: [(&str, Measure); 2] = [
-        ("granted access check", measured_check_ns),
-        ("AWT post→dispatch", measured_dispatch_ns),
-    ];
-    for (name, measure) in paths {
-        let off = measure(false);
-        let on = measure(true);
+    let mut row = |name: &str, off: f64, on: f64| {
         let pct = if off > 0.0 {
             (on / off - 1.0) * 100.0
         } else {
@@ -112,9 +108,42 @@ pub fn e12_trace_overhead() -> Report {
             fmt_ns(on),
             format!("{pct:+.1}%"),
         ]);
+    };
+    type Measure = fn(bool) -> f64;
+    let paths: [(&str, Measure); 2] = [
+        ("granted access check", measured_check_ns),
+        ("AWT post→dispatch", measured_dispatch_ns),
+    ];
+    for (name, measure) in paths {
+        row(name, measure(false), measure(true));
     }
+
+    // A bare span site under an installed trace context: a finished span
+    // recorded into a live and a disabled ring, and a disabled `begin`.
+    let (live, off) = (FlightRecorder::new(2048), FlightRecorder::new(2048));
+    off.set_enabled(false);
+    trace::install(Some(TraceCtx {
+        trace_id: 1,
+        parent_span: 1,
+    }));
+    let span = |recorder: &FlightRecorder| {
+        recorder.record_latency(SpanCategory::Check, "span", Some(1), 250);
+    };
+    let [off_ns, on_ns, begin_ns] = per_call_minima(
+        ARM_ROUNDS,
+        SPAN_CALLS,
+        [&mut || span(&off), &mut || span(&live), &mut || {
+            assert!(off.begin(SpanCategory::Exec, "span").is_none());
+        }],
+    );
+    trace::clear();
+    row("span site: record_latency", off_ns, on_ns);
+    table.rowd(&["span site: begin", &fmt_ns(begin_ns), "-", "-"]);
     table.note("recorder off must cost ~one relaxed atomic load per span site;");
     table.note("recorder on pays one ring push (mutex + VecDeque) per span.");
+    table.note(format!(
+        "span-site rows: round minima of {ARM_ROUNDS} rounds x {SPAN_CALLS} calls per arm."
+    ));
     Report {
         tables: vec![table],
         artifacts: vec![Artifact {

@@ -84,7 +84,9 @@ const E20: &str = "BENCH_E20.json";
 const FLAME: &str = "e16-flame.txt";
 
 /// Every gate, in experiment order. Latency bounds are for release builds
-/// on shared CI runners; the in-crate experiment tests assert looser ones.
+/// on shared CI runners. The in-crate experiment tests (debug builds)
+/// assert the deterministic rows, E14's speedup floors, and looser E18 and
+/// E19 bounds; the E15, E16 and E20 timing rows are checked only here.
 #[rustfmt::skip]
 pub const GATES: &[Gate] = &[
     gate(E14, "parked_idle_wakeups", AtMost(2.0), "idle-wakeup regression"),

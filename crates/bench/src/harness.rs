@@ -1,5 +1,6 @@
-//! Shared setup for experiments and benches: a standard two-user runtime
-//! with the paper's policy and all §6 tools installed.
+//! Shared setup for the experiments: a standard two-user runtime with the
+//! paper's policy and all §6 tools installed, the sum-loop program, and
+//! the timing estimators every table uses.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -7,6 +8,7 @@ use std::time::Instant;
 use jmp_awt::DispatchMode;
 use jmp_core::MpRuntime;
 use jmp_security::Policy;
+use jmp_vm::interp::InterpStats;
 
 /// Serializes latency-sensitive experiment unit tests (E13–E17) within the
 /// test binary: each measures wall-clock thresholds (victim containment,
@@ -17,12 +19,12 @@ pub fn latency_test_guard() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Interleaved round minima, the timing estimator the E13, E16, E17,
-/// E18 and E20 tables share. Each of `rounds` rounds calls `round`, which
-/// runs every arm once, in a fixed order, and returns one normalized
-/// sample per arm; the result is each arm's minimum. Scheduler noise only
-/// ever adds time, so the minimum estimates the intrinsic cost and stays
-/// stable on loaded machines where medians drift.
+/// Interleaved round minima, the timing estimator the experiments share.
+/// Each of `rounds` rounds calls `round`, which runs every arm once, in a
+/// fixed order, and returns one normalized sample per arm; the result is
+/// each arm's minimum. Scheduler noise only ever adds time, so the minimum
+/// estimates the intrinsic cost and stays stable on loaded machines where
+/// medians drift.
 pub fn round_minima<const N: usize>(
     rounds: usize,
     mut round: impl FnMut() -> [f64; N],
@@ -36,11 +38,71 @@ pub fn round_minima<const N: usize>(
     best
 }
 
+/// Rounds of the per-call arms an experiment runs after its gated
+/// measurements.
+pub const ARM_ROUNDS: usize = 5;
+
+/// [`round_minima`] over per-call costs: each round calls every arm
+/// `calls` times, in arm order, and the result is each arm's minimum
+/// nanoseconds per call.
+pub fn per_call_minima<const N: usize>(
+    rounds: usize,
+    calls: u32,
+    mut arms: [&mut dyn FnMut(); N],
+) -> [f64; N] {
+    round_minima(rounds, || {
+        arms.each_mut()
+            .map(|arm| time_ns(|| (0..calls).for_each(|_| arm())) / f64::from(calls))
+    })
+}
+
+/// The median as the experiments read it: `samples[len / 2]` once sorted,
+/// the upper middle element when the length is even.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in samples"));
+    samples[samples.len() / 2]
+}
+
 /// Wall-clock nanoseconds one call of `f` takes.
 pub fn time_ns(f: impl FnOnce()) -> f64 {
     let start = Instant::now();
     f();
     start.elapsed().as_nanos() as f64
+}
+
+/// The arithmetic sum loop `main(n) = n + (n-1) + ... + 1`: 17 wire
+/// instructions, 13 per iteration, every body instruction fusable. E16,
+/// E18 and E20 time it.
+pub const SUM_LOOP: &str = r#"
+    class Sum
+    method main/1 locals=2
+        push_int 0
+        store 1
+    loop:
+        load 0
+        push_int 0
+        gt
+        jump_if_false done
+        load 1
+        load 0
+        add
+        store 1
+        load 0
+        push_int 1
+        sub
+        store 0
+        jump loop
+    done:
+        load 1
+        return_value
+"#;
+
+/// Wire instructions one call of `run` executes, read as the change in
+/// the engine's `stats` around it.
+pub fn wire_insns(stats: &InterpStats, run: impl FnOnce()) -> u64 {
+    let before = stats.instructions();
+    run();
+    stats.instructions() - before
 }
 
 /// The standard experiment policy: the shell's defaults plus the paper's
@@ -111,6 +173,32 @@ mod tests {
         });
         assert_eq!(best, [1.0, 7.0]);
         assert_eq!(calls, 3);
+    }
+
+    #[test]
+    fn per_call_minima_calls_every_arm_and_keeps_its_per_call_minimum_in_arm_order() {
+        let (mut fast, mut slow) = (0, 0);
+        let [fast_ns, slow_ns] = per_call_minima(
+            3,
+            4,
+            [&mut || fast += 1, &mut || {
+                slow += 1;
+                // The first round's calls are slow; the minimum is a later
+                // round's 1 ms per call.
+                let ms = if slow <= 4 { 20 } else { 1 };
+                std::thread::sleep(std::time::Duration::from_millis(ms));
+            }],
+        );
+        assert_eq!((fast, slow), (12, 12));
+        assert!((1e6..20e6).contains(&slow_ns), "{slow_ns}");
+        assert!(fast_ns < slow_ns, "{fast_ns} vs {slow_ns}");
+    }
+
+    #[test]
+    fn median_reads_the_upper_middle_sample() {
+        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 3.0);
+        assert_eq!(median(&mut [5.0]), 5.0);
     }
 
     #[test]

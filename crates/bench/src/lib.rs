@@ -3,8 +3,7 @@
 //! The experiment harness: every table/figure-equivalent in EXPERIMENTS.md
 //! is regenerated by a function here, and the `experiments` binary prints
 //! them, writes their artifacts, and checks those against [`gates`].
-//! Criterion micro-benchmarks for the ablations (A1–A6) live under
-//! `benches/`.
+//! Every timing goes through the estimators in [`harness`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
