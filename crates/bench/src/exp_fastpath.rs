@@ -1,16 +1,20 @@
 //! E13: the access-control fast path — what domain interning, the indexed
 //! policy, and the VM-wide decision cache buy on the §5 chokepoint.
 //!
-//! Three tables: cold-vs-warm per-check latency (the cache's headline
-//! number), the hit rate a real multi-application workload achieves, and
-//! what a mid-workload policy reload costs (invalidation plus the first
-//! cold re-check) — together with the correctness rows that make the cache
+//! Tables: cold-vs-warm per-check latency (the cache's headline number),
+//! the hit rate a real multi-application workload achieves, what a
+//! mid-workload policy reload costs (invalidation plus the first cold
+//! re-check) — together with the correctness rows that make the cache
 //! trustworthy: a grant added by the reload is honored and a revoked grant
-//! is denied on the very next check.
+//! is denied on the very next check — the parts of a check, and (E13e,
+//! `BENCH_E13.json`) the chokepoint's bookkeeping where it runs: inside an
+//! application thread with a running user and a trace context.
 
 use std::hint::black_box;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use jmp_obs::{trace, SpanCategory, TraceCtx};
 
 use jmp_security::{
     interned_domain_count, AccessContext, AccessController, CodeSource, FileActions, Permission,
@@ -18,8 +22,11 @@ use jmp_security::{
 };
 use jmp_vm::{stack, Vm};
 
-use crate::harness::{per_call_minima, round_minima, standard_runtime, time_ns, ARM_ROUNDS};
+use crate::harness::{
+    median, per_call_minima, register_app, round_minima, standard_runtime, time_ns, ARM_ROUNDS,
+};
 use crate::table::{fmt_ns, ok, Table};
+use crate::Report;
 
 /// Cold iterations (each preceded by a cache flush) and warm iterations,
 /// per measurement pass; the best of [`PASSES`] passes is reported
@@ -27,8 +34,12 @@ use crate::table::{fmt_ns, ok, Table};
 const COLD_ITERS: u32 = 2_000;
 const WARM_ITERS: u32 = 50_000;
 const PASSES: usize = 3;
-/// Calls per round of the E13d arms.
+/// Calls per round of the E13d arms and the E13e warm-check arm.
 const ARM_CALLS: u32 = 1_000;
+/// Warm hits E13e counts the spans of.
+const APP_HITS: u32 = 10_000;
+/// Refused checks E13e times one at a time.
+const APP_DENIALS: usize = 600;
 
 /// Runs `f` under a stack of `domains` (oldest first), like nested
 /// application frames. Shared with E17, which re-measures the same warm
@@ -179,7 +190,7 @@ fn reload_table() -> Table {
     after.grant_user("alice", vec![Permission::file("/b", FileActions::READ)]);
 
     let vm = Vm::builder().policy(before).build();
-    vm.set_user_resolver(Arc::new(|| Some("alice".to_string())))
+    vm.set_user_resolver(Arc::new(|| Some(Arc::from("alice"))))
         .expect("trusted harness installs the resolver");
     // One exercising domain: code-source grants stay fixed, user grants
     // track the live policy.
@@ -330,14 +341,162 @@ fn parts_table() -> Table {
     table
 }
 
-/// E13: the experiment tables.
-pub fn e13_access_fastpath() -> Vec<Table> {
-    vec![
-        latency_table(),
-        hit_rate_table(),
-        reload_table(),
-        parts_table(),
-    ]
+/// The `BENCH_E13.json` summary: the chokepoint measured in an
+/// application thread running as a user inside a trace.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct E13Summary {
+    /// Per-call minimum of a granted, cached `check_permission` (ns).
+    pub warm_check_app_ns: f64,
+    /// Median of the refused checks, each with a full flight ring (µs).
+    pub denied_check_app_us: f64,
+    /// Spans the flight recorder took over the warm hits.
+    pub warm_hit_spans: u64,
+    /// Most spans in any retained audit record after the denials.
+    pub incident_spans_max: usize,
+    /// Whether the last denial's record holds the application's exec span.
+    pub exec_span_kept: bool,
+}
+
+/// What the E13e application measured on its own thread.
+struct AppThread {
+    warm_ns: f64,
+    denied_us: f64,
+    warm_hit_spans: u64,
+}
+
+/// E13 table 5: the chokepoint in an application thread. Alice's
+/// application warms a grant, counts the spans [`APP_HITS`] hits leave,
+/// times the warm check, then times [`APP_DENIALS`] refused reads of bob's
+/// file. The ring is filled from a foreign trace before the application
+/// starts, so every denial meets a full ring, and the application's exec
+/// span is newer than every filler span.
+fn app_thread_table() -> (Table, E13Summary) {
+    let rt = standard_runtime(None);
+    let hub = rt.vm().obs().clone();
+    let filler = TraceCtx {
+        trace_id: trace::next_id(),
+        parent_span: 0,
+    };
+    for _ in 0..hub.recorder().capacity() {
+        hub.recorder()
+            .record_with_ctx(SpanCategory::Pipe, "filler", filler, None, 1_000);
+    }
+    let measured = Arc::new(Mutex::new(None));
+    let out = Arc::clone(&measured);
+    register_app(&rt, "e13app", move |_| {
+        let rt = jmp_core::MpRuntime::current().expect("on-runtime");
+        let vm = rt.vm();
+        let recorder = vm.obs().recorder();
+        assert!(
+            trace::current().is_some(),
+            "the app runs in its exec's trace"
+        );
+        let granted = Permission::file("/home/alice/notes.txt", FileActions::READ);
+        let refused = Permission::file("/home/bob/secret.txt", FileActions::READ);
+        vm.check_permission(&granted)?;
+        let before = recorder.recorded();
+        for _ in 0..APP_HITS {
+            vm.check_permission(&granted)?;
+        }
+        let warm_hit_spans = recorder.recorded() - before;
+        let [warm_ns] = per_call_minima(
+            ARM_ROUNDS,
+            ARM_CALLS,
+            [&mut || vm.check_permission(&granted).expect("granted")],
+        );
+        let mut denied_us: Vec<f64> = (0..APP_DENIALS)
+            .map(|_| {
+                let refusal = || {
+                    vm.check_permission(&refused).expect_err("refused");
+                };
+                time_ns(refusal) / 1e3
+            })
+            .collect();
+        *out.lock().expect("one writer") = Some(AppThread {
+            warm_ns,
+            denied_us: median(&mut denied_us),
+            warm_hit_spans,
+        });
+        Ok(())
+    });
+    rt.launch_as("alice", "e13app", &[])
+        .expect("the app launches")
+        .wait_for()
+        .expect("the app finishes");
+    let records = hub.audit_query(Some("alice"), None);
+    rt.shutdown();
+    let run = measured
+        .lock()
+        .expect("one writer")
+        .take()
+        .expect("the app measured");
+    let summary = E13Summary {
+        warm_check_app_ns: run.warm_ns,
+        denied_check_app_us: run.denied_us,
+        warm_hit_spans: run.warm_hit_spans,
+        incident_spans_max: records.iter().map(|r| r.trace.len()).max().unwrap_or(0),
+        exec_span_kept: records.last().is_some_and(|r| {
+            r.trace
+                .iter()
+                .any(|s| s.category == SpanCategory::Exec && s.name.contains("e13app"))
+        }),
+    };
+    let mut table = Table::new(
+        "E13e",
+        "access fast path — the chokepoint in an application thread (user + trace)",
+        &["measure", "value", "gate"],
+    );
+    table.rowd(&[
+        "warm check, per call".to_string(),
+        fmt_ns(summary.warm_check_app_ns),
+        "<= 400 ns".to_string(),
+    ]);
+    table.rowd(&[
+        format!("refused check, ring full, median of {APP_DENIALS}"),
+        fmt_ns(summary.denied_check_app_us * 1e3),
+        "<= 50 us".to_string(),
+    ]);
+    table.rowd(&[
+        format!("spans recorded over {APP_HITS} warm hits"),
+        summary.warm_hit_spans.to_string(),
+        ok(summary.warm_hit_spans == 0).to_string(),
+    ]);
+    table.rowd(&[
+        format!(
+            "most spans in one audit record ({} retained)",
+            records.len()
+        ),
+        summary.incident_spans_max.to_string(),
+        ok(summary.incident_spans_max <= jmp_obs::INCIDENT_SPANS).to_string(),
+    ]);
+    table.rowd(&[
+        "last record holds the app's exec span".to_string(),
+        summary.exec_span_kept.to_string(),
+        ok(summary.exec_span_kept).to_string(),
+    ]);
+    table.note(format!(
+        "warm check: round minima of {ARM_ROUNDS} rounds x {ARM_CALLS} calls. a hit bumps"
+    ));
+    table.note("counters only (VM-wide, and the app's through a handle its context caches),");
+    table.note("reads the clock one check in 64, and records no span; a denial's audit");
+    table.note("record is its trace's ancestor chain plus newest spans, at most 64.");
+    (table, summary)
+}
+
+/// E13: the experiment tables plus `BENCH_E13.json`.
+pub fn e13_access_fastpath() -> Report {
+    let (app_thread, summary) = app_thread_table();
+    Report::bench(
+        "BENCH_E13.json",
+        &summary,
+        vec![
+            latency_table(),
+            hit_rate_table(),
+            reload_table(),
+            parts_table(),
+            app_thread,
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -347,14 +506,20 @@ mod tests {
     #[test]
     fn e13_runs_and_warm_beats_cold() {
         let _serial = crate::harness::latency_test_guard();
-        let tables = e13_access_fastpath();
-        assert_eq!(tables.len(), 4);
-        // Every functional row in the reload table must be ok.
+        let report = e13_access_fastpath();
+        let tables = &report.tables;
+        assert_eq!(tables.len(), 5);
+        // Every functional row in the reload and app-thread tables must be ok.
         assert!(
             !tables
                 .iter()
                 .any(|t| t.rows.iter().flatten().any(|c| c.contains("FAILED"))),
             "E13 functional rows failed: {tables:?}"
         );
+        let summary: E13Summary = report.summary("BENCH_E13.json");
+        assert_eq!(summary.warm_hit_spans, 0);
+        assert!(summary.incident_spans_max <= jmp_obs::INCIDENT_SPANS);
+        assert!(summary.incident_spans_max > 0, "denials carry a record");
+        assert!(summary.exec_span_kept);
     }
 }

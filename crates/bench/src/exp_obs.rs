@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use jmp_obs::{CacheOutcome, EventKind, EventSink, HubSnapshot, ObsHub, ProfileReport};
+use jmp_obs::{CacheOutcome, Counter, EventKind, EventSink, HubSnapshot, ObsHub, ProfileReport};
 use jmp_security::{
     AccessController, CodeSource, Permission, PermissionCollection, ProtectionDomain,
 };
@@ -121,8 +121,10 @@ pub fn e11_observability() -> Vec<Table> {
     let mut tables = scripted_session().0;
     let (live_sink, off_sink) = (EventSink::new(1024), EventSink::disabled());
     let (live_hub, off_hub) = (ObsHub::new(), ObsHub::with_sink(EventSink::disabled()));
+    // The warm-hit record, as `Vm::access_check` makes it for an app thread.
+    let app_checks = Counter::new();
     let account = |hub: &ObsHub| {
-        hub.record_access_check("", None, 8, Some("alice"), 250, CacheOutcome::Hit);
+        hub.record_access_hit(CacheOutcome::Hit, Some(&app_checks), None);
     };
     let vm = Vm::new();
     let demand = Permission::runtime("benchPermission");

@@ -74,6 +74,7 @@ const fn gate(
     }
 }
 
+const E13: &str = "BENCH_E13.json";
 const E14: &str = "BENCH_E14.json";
 const E15: &str = "BENCH_E15.json";
 const E16: &str = "BENCH_E16.json";
@@ -89,6 +90,13 @@ const FLAME: &str = "e16-flame.txt";
 /// E19 bounds; the E15, E16 and E20 timing rows are checked only here.
 #[rustfmt::skip]
 pub const GATES: &[Gate] = &[
+    // Bounds 1.5x above the bounded-record design, below the span-per-hit,
+    // whole-ring-dump design it replaced (654-708 ns; 255-285 us).
+    gate(E13, "warm_check_app_ns", AtMost(400.0), "warm-check bookkeeping regression"),
+    gate(E13, "denied_check_app_us", AtMost(50.0), "denial incident-record regression"),
+    gate(E13, "warm_hit_spans", Equals(0.0), "warm-hit span regression"),
+    gate(E13, "incident_spans_max", AtMost(64.0), "incident-record bound regression"),
+    gate(E13, "exec_span_kept", True, "incident-record history regression"),
     gate(E14, "parked_idle_wakeups", AtMost(2.0), "idle-wakeup regression"),
     gate(E14, "pipe_speedup", AtLeast(3.0), "pipe throughput regression"),
     gate(E14, "events_speedup", AtLeast(2.0), "event throughput regression"),
@@ -303,8 +311,8 @@ mod tests {
     const GOOD_FLAME: &str = "Main;Main.run 120\nMain 3\n";
 
     #[test]
-    fn the_table_holds_the_38_conditions() {
-        assert_eq!(GATES.len(), 38);
+    fn the_table_holds_the_43_conditions() {
+        assert_eq!(GATES.len(), 43);
         assert_eq!(
             failed_rows(&render(&passing_summaries(), GOOD_FLAME)),
             vec![]

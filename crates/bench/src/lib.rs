@@ -136,7 +136,7 @@ pub fn run_experiment(id: &str) -> Option<Report> {
         "e10" => exp_system::e10_stream_ownership().into(),
         "e11" => exp_obs::e11_observability().into(),
         "e12" => exp_trace::e12_trace_overhead(),
-        "e13" => exp_fastpath::e13_access_fastpath().into(),
+        "e13" => exp_fastpath::e13_access_fastpath(),
         "e14" => exp_throughput::e14_data_plane(),
         "e15" => exp_quota::e15_quota_storm(),
         "e16" => exp_profile::e16_profile(),

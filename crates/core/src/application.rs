@@ -261,8 +261,10 @@ impl Application {
         let app = Application::current().ok_or(Error::NotAnApplication)?;
         let rt = app.runtime().ok_or(Error::NotAnApplication)?;
         rt.vm().check_permission(&Permission::runtime("setUser"))?;
-        // The context mirrors the user (attribution reads it lock-free), and
-        // the quota table is re-derived for the new user's policy grants.
+        // The context mirrors the user — the next access check reads the
+        // new name, so the user-keyed decision cache cannot serve the old
+        // user's grants — and the quota table is re-derived for the new
+        // user's policy grants.
         app.inner.context.set_user(user.name());
         rt.apply_user_limits(&app.inner.context, user.name());
         *app.inner.user.write() = user;
@@ -564,9 +566,9 @@ pub(crate) fn spawn_app(rt: &MpRuntime, spec: ExecSpec) -> Result<Application> {
             inner_rt.apps_by_id.insert(id, app.clone());
 
             // Observability: the application's metrics registry exists from
-            // exec to reap; the exec itself goes on the event stream.
+            // exec (the context above created it) to reap; the exec itself
+            // goes on the event stream.
             let hub = inner_rt.vm.obs();
-            hub.app_registry(id.0, app.name());
             hub.vm_metrics().counter("apps.execed").inc();
             hub.sink().publish(
                 EventKind::AppExec,

@@ -316,7 +316,8 @@ impl MpRuntimeBuilder {
         )?;
         // Identity is read straight off the thread's AppContext — installed
         // at spawn and inherited by every thread the application creates —
-        // with no runtime handle and no thread→group→app walk.
+        // with no runtime handle, no thread→group→app walk, and no copy:
+        // the user is a shared `Arc<str>` that `setUser` swaps whole.
         vm.set_user_resolver(Arc::new(|| {
             jmp_vm::thread::current_app_context().map(|ctx| ctx.user())
         }))?;

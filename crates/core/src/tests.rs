@@ -732,7 +732,7 @@ fn app_context_carries_identity_and_defaults() {
         let ctx = jmp_vm::thread::current_app_context().expect("main carries the context");
         let app = Application::current().unwrap();
         assert_eq!(ctx.app_id(), app.id().0);
-        assert_eq!(ctx.user(), "alice");
+        assert_eq!(&*ctx.user(), "alice");
         assert_eq!(ctx.limits().get(jmp_vm::ResourceKind::Threads), 16);
         // The main thread itself is on the ledger.
         assert_eq!(ctx.ledger().get(jmp_vm::ResourceKind::Threads), 1);

@@ -36,9 +36,10 @@ pub struct AuditRecord {
     /// Why it was refused — the protection domain (or message) that did not
     /// imply the demand.
     pub context: String,
-    /// The flight recorder's span ring at incident time — the causal
-    /// history that led to the denial or fault. Empty when nothing was
-    /// traced.
+    /// The flight recorder's incident record at incident time — the
+    /// causal history that led to the denial or fault, at most
+    /// [`INCIDENT_SPANS`](crate::INCIDENT_SPANS) spans of the
+    /// denying thread's trace. Empty when nothing was traced.
     pub trace: Vec<Span>,
 }
 
@@ -92,8 +93,8 @@ impl AuditLog {
         self.record_with_dump(user, app, permission, context, Vec::new());
     }
 
-    /// Records a denial carrying a flight-recorder dump — the span ring
-    /// snapshotted at incident time.
+    /// Records a denial carrying a flight-recorder dump — the incident
+    /// record taken at incident time.
     pub fn record_with_dump(
         &self,
         user: Option<String>,

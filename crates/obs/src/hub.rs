@@ -85,8 +85,9 @@ pub enum CacheOutcome {
 
 impl CacheOutcome {
     /// The span name recorded for a check with this outcome, e.g.
-    /// `access-check:hit`. The suffix doubles as a span attribute so trace
-    /// consumers (E11/E12, `vmstat`) can split warm from cold checks.
+    /// `access-check:miss`. The suffix doubles as a span attribute so trace
+    /// consumers (E11/E12, `vmstat`) can split cold checks from denials
+    /// (the VM's warm hits leave no span; see [`ObsHub::record_access_hit`]).
     pub fn span_name(self) -> &'static str {
         match self {
             CacheOutcome::Hit => "access-check:hit",
@@ -334,13 +335,50 @@ impl ObsHub {
         out
     }
 
-    /// The chokepoint instrumentation record for one permission check.
-    /// Counts and times it VM-wide and against the calling application.
+    /// The chokepoint's record of a check answered without a walk: a
+    /// decision-cache hit ([`CacheOutcome::Hit`]) or a trusted empty-stack
+    /// bypass ([`CacheOutcome::Bypass`]). It bumps `security.checks` and
+    /// the `access.cache.*` counter VM-wide, and `app_checks` — the calling
+    /// application's `security.checks`, a handle the caller cached when its
+    /// application context was built. It calls no resolver, looks nothing
+    /// up by name, and leaves no span: a warm hit explains nothing a trace
+    /// needs. `sample` carries `(latency_ns, depth)` for the checks whose
+    /// clock the caller read (one in 64 per thread); only those feed
+    /// `security.check_ns` and `security.check_depth`.
+    pub fn record_access_hit(
+        &self,
+        cache: CacheOutcome,
+        app_checks: Option<&Counter>,
+        sample: Option<(u64, usize)>,
+    ) {
+        self.inner.checks.inc();
+        self.cache_counter(cache).inc();
+        if let Some(checks) = app_checks {
+            checks.inc();
+        }
+        if let Some((latency_ns, depth)) = sample {
+            self.inner.check_ns.record(latency_ns);
+            self.inner.check_depth.record(depth as u64);
+        }
+    }
+
+    fn cache_counter(&self, cache: CacheOutcome) -> &Counter {
+        match cache {
+            CacheOutcome::Hit => &self.inner.cache_hits,
+            CacheOutcome::Miss => &self.inner.cache_misses,
+            CacheOutcome::Bypass => &self.inner.cache_bypass,
+        }
+    }
+
+    /// The chokepoint's record of a check that walked the stack: a miss
+    /// or a denial. Counts and times it VM-wide and against the calling
+    /// application, and leaves a `check` span inside a traced request.
     /// `denied_context` is `None` for a granted check; a denial passes the
     /// refusing-domain message, which additionally lands in the audit log
-    /// and the event stream. `cache` says how the decision cache
-    /// participated — it feeds the `access.cache.*` counters and suffixes
-    /// the span name so traces show which checks ran the slow path.
+    /// (with the flight recorder's incident record) and the event stream.
+    /// `cache` says how the decision cache participated — it feeds the
+    /// `access.cache.*` counters and suffixes the span name so traces show
+    /// which checks ran the slow path.
     pub fn record_access_check(
         &self,
         permission: &str,
@@ -354,11 +392,7 @@ impl ObsHub {
         self.inner.checks.inc();
         self.inner.check_ns.record(latency_ns);
         self.inner.check_depth.record(depth as u64);
-        match cache {
-            CacheOutcome::Hit => self.inner.cache_hits.inc(),
-            CacheOutcome::Miss => self.inner.cache_misses.inc(),
-            CacheOutcome::Bypass => self.inner.cache_bypass.inc(),
-        }
+        self.cache_counter(cache).inc();
         if let Some(registry) = app.and_then(|id| self.existing_app_registry(id)) {
             registry.counter("security.checks").inc();
             if denied_context.is_some() {
@@ -377,7 +411,7 @@ impl ObsHub {
         if let Some(context) = denied_context {
             self.inner.denied.inc();
             // A denial is an incident: the audit record carries the flight
-            // recorder's span ring, i.e. the causal history that led here.
+            // recorder's incident record, the causal history that led here.
             self.inner.audit.record_with_dump(
                 user.map(str::to_owned),
                 app,
@@ -403,24 +437,12 @@ impl ObsHub {
 
     /// Records a refused allocation — a resource-quota denial — as an
     /// audited incident, mirroring how permission denials are treated: a
-    /// VM-wide and per-app `quota.denied` counter bump, an audit record,
-    /// and a [`EventKind::QuotaDenied`] event on the sink.
-    ///
-    /// Only when `dump` is set does the record carry a flight-recorder
-    /// snapshot. Cloning the span ring is the expensive part of incident
-    /// capture, and an application storming its own quota generates
-    /// thousands of denials a second — attaching a dump to each would turn
-    /// the app's *denial accounting* into the very VM-wide stall the quota
-    /// exists to prevent. Callers sample instead (the ledger dumps on
-    /// power-of-two breach counts).
-    pub fn record_quota_denial(
-        &self,
-        app: u64,
-        user: Option<&str>,
-        resource: &str,
-        limit: u64,
-        dump: bool,
-    ) {
+    /// VM-wide and per-app `quota.denied` counter bump, an audit record
+    /// carrying the flight recorder's incident record, and a
+    /// [`EventKind::QuotaDenied`] event on the sink. The incident record is
+    /// bounded ([`FlightRecorder::dump`]), so an application storming its
+    /// own quota pays for its own trace, not for the VM's whole history.
+    pub fn record_quota_denial(&self, app: u64, user: Option<&str>, resource: &str, limit: u64) {
         self.inner.vm.counter("quota.denied").inc();
         if let Some(registry) = self.existing_app_registry(app) {
             registry.counter("quota.denied").inc();
@@ -431,11 +453,7 @@ impl ObsHub {
             Some(app),
             format!("resource \"{resource}\""),
             format!("quota exceeded: {detail}"),
-            if dump {
-                self.inner.recorder.dump()
-            } else {
-                Vec::new()
-            },
+            self.inner.recorder.dump(),
         );
         self.inner.sink.publish(
             EventKind::QuotaDenied,
@@ -467,16 +485,18 @@ impl ObsHub {
     pub fn check_watchdogs(&self) -> usize {
         let stalled = self.inner.watchdogs.check();
         for row in &stalled {
-            self.inner.stalls.inc();
-            if let Some(registry) = row.app.and_then(|id| self.existing_app_registry(id)) {
-                registry.counter("watchdog.stalls").inc();
-            }
+            // Publish before counting: whoever sees the counter move (a
+            // test, an operator's `vmstat`) then finds the event too.
             self.inner.sink.publish(
                 EventKind::Watchdog,
                 row.app,
                 None,
                 format!("{} stalled, last beat {}ms ago", row.name, row.age_ms),
             );
+            self.inner.stalls.inc();
+            if let Some(registry) = row.app.and_then(|id| self.existing_app_registry(id)) {
+                registry.counter("watchdog.stalls").inc();
+            }
         }
         stalled.len()
     }
@@ -633,6 +653,47 @@ mod tests {
         let events = hub.sink().recent();
         assert_eq!(events.len(), 1, "only the denial hits the event stream");
         assert_eq!(events[0].kind, EventKind::AccessDenied);
+    }
+
+    #[test]
+    fn warm_hits_count_vm_wide_and_per_app_and_leave_no_span() {
+        const HITS: u64 = 1_000;
+        let hub = ObsHub::new();
+        let app_checks = hub.app_registry(3, "ps").counter("security.checks");
+        let exec = hub
+            .recorder()
+            .begin(crate::SpanCategory::Exec, "exec:ps")
+            .unwrap();
+        let resolved = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let calls = Arc::clone(&resolved);
+        hub.set_app_resolver(Arc::new(move || {
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Some(3)
+        }));
+        let recorded = hub.recorder().recorded();
+        for hit in 0..HITS {
+            let sample = (hit % 64 == 0).then_some((250, 4));
+            hub.record_access_hit(CacheOutcome::Hit, Some(&app_checks), sample);
+        }
+        let vm = hub.vm_metrics();
+        assert_eq!(vm.counter("security.checks").get(), HITS);
+        assert_eq!(vm.counter("access.cache.hits").get(), HITS);
+        let app = hub.existing_app_registry(3).unwrap();
+        assert_eq!(app.counter("security.checks").get(), HITS);
+        assert_eq!(hub.recorder().recorded(), recorded, "hits leave no span");
+        assert!(hub.recorder().spans().is_empty());
+        assert_eq!(
+            resolved.load(std::sync::atomic::Ordering::Relaxed),
+            0,
+            "no resolver call"
+        );
+        assert_eq!(vm.histogram("security.check_ns").count(), HITS.div_ceil(64));
+        assert_eq!(
+            vm.histogram("security.check_depth").count(),
+            HITS.div_ceil(64)
+        );
+        drop(exec);
+        crate::trace::clear();
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,
 };
 pub use profile::{OpcodeProfile, ProfileReport, ProfileView, Profiler, ThreadLoc};
-pub use recorder::{FlightRecorder, Span, SpanCategory, SpanGuard};
+pub use recorder::{FlightRecorder, Span, SpanCategory, SpanGuard, INCIDENT_SPANS};
 pub use sink::{Event, EventKind, EventSink};
 pub use trace::TraceCtx;
 pub use watchdog::{Heartbeat, WatchdogRegistry, WatchdogRow};

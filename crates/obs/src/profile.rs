@@ -279,7 +279,8 @@ fn inner_app_table(inner: &ProfilerInner, app: u64) -> Arc<Mutex<ViewTable>> {
 
 /// The profiler. Cheap handle; clones share state. Both collection modes
 /// are on by default — "always-on" is the point, and the accounting path is
-/// budgeted at ≤5% interpreter overhead (bench A8 gates it).
+/// budgeted at ≤5% interpreter overhead (experiment E16 gates it; E16c
+/// times the accounting path per call).
 #[derive(Clone)]
 pub struct Profiler {
     inner: Arc<ProfilerInner>,

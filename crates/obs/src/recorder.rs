@@ -10,13 +10,15 @@
 //! because writing a span must stay free for the code being observed.
 //!
 //! The ring doubles as the *flight record*: when a permission check is
-//! denied or an application faults, the hub snapshots the ring and attaches
-//! it to the audit entry, so the incident arrives with the causal history
-//! that led to it. An incident dump also includes spans still *open* at
-//! that moment (with their duration so far) — the exec span that spawned
-//! the offending thread may not have completed yet, and "how we got here"
-//! must include it. The same ring exports as Chrome `trace_event` JSON for
-//! `chrome://tracing` / Perfetto.
+//! denied, a quota refuses an allocation, or an application faults, the hub
+//! attaches an incident record ([`FlightRecorder::dump`]) to the audit
+//! entry, so the incident arrives with the causal history that led to it.
+//! The record is bounded at [`INCIDENT_SPANS`] and scoped to the denying
+//! thread's trace: its ancestor chain — including spans still *open* at
+//! that moment, with their duration so far, because the exec span that
+//! spawned the offending thread may not have completed yet — then the
+//! trace's most recent completed spans. The whole ring exports as Chrome
+//! `trace_event` JSON for `chrome://tracing` / Perfetto.
 
 use std::collections::{HashMap, VecDeque};
 use std::mem;
@@ -31,6 +33,11 @@ use crate::trace::{self, TraceCtx};
 
 /// Default number of completed spans retained.
 pub const DEFAULT_CAPACITY: usize = 2048;
+
+/// Most spans one incident record ([`FlightRecorder::dump`]) carries. The
+/// audit log retains 512 records, so incident history is bounded at
+/// 32,768 spans however many denials the VM sees.
+pub const INCIDENT_SPANS: usize = 64;
 
 /// Which boundary a span covers. These are the chrome export's `cat`
 /// values; the acceptance bar for the export is that at least the
@@ -97,11 +104,71 @@ struct RecorderInner {
     clock: ObsClock,
     recorded: AtomicU64,
     dropped: AtomicU64,
-    ring: Mutex<VecDeque<Span>>,
-    /// Spans begun but not yet completed, keyed by span id; bounded by the
-    /// number of live [`SpanGuard`]s. Incident dumps snapshot these too.
-    open: Mutex<HashMap<u64, Span>>,
+    spans: Mutex<Spans>,
     resolver: RwLock<Option<AppResolver>>,
+}
+
+/// The completed ring and the open spans under ONE lock, so closing a span
+/// (open → ring) is atomic with respect to an incident read: a dump sees a
+/// closing span in exactly one of the two places, never neither, never
+/// both.
+#[derive(Default)]
+struct Spans {
+    ring: VecDeque<Span>,
+    /// Spans begun but not yet completed, keyed by span id; bounded by the
+    /// number of live [`SpanGuard`]s.
+    open: HashMap<u64, Span>,
+}
+
+impl Spans {
+    /// Appends a completed span, rotating the oldest out of a full ring.
+    /// Returns `true` when a span was dropped.
+    fn push(&mut self, span: Span, capacity: usize) -> bool {
+        let full = self.ring.len() >= capacity;
+        if full {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(span);
+        full
+    }
+
+    /// The incident record of trace `ctx`: the ancestor chain of
+    /// `ctx.parent_span`, then the trace's newest completed spans, at most
+    /// [`INCIDENT_SPANS`] in all. One reverse scan of the ring collects the
+    /// trace's spans by reference; only the spans kept are cloned.
+    fn incident(&self, ctx: TraceCtx, now_us: u64) -> Vec<Span> {
+        let in_trace: Vec<&Span> = self
+            .ring
+            .iter()
+            .rev()
+            .filter(|span| span.trace_id == ctx.trace_id)
+            .collect();
+        let mut record = Vec::new();
+        let mut ancestor = ctx.parent_span;
+        while ancestor != 0 && record.len() < INCIDENT_SPANS {
+            if let Some(open) = self.open.get(&ancestor) {
+                let mut span = open.clone();
+                span.dur_us = now_us.saturating_sub(span.start_us);
+                record.push(span);
+            } else if let Some(done) = in_trace.iter().find(|span| span.id == ancestor) {
+                record.push((*done).clone());
+            } else {
+                // Evicted, or not a span of this recorder: the chain ends.
+                break;
+            }
+            ancestor = record.last().map_or(0, |span| span.parent);
+        }
+        let chain = record.len();
+        for span in in_trace {
+            if record.len() >= INCIDENT_SPANS {
+                break;
+            }
+            if !record[..chain].iter().any(|kept| kept.id == span.id) {
+                record.push(span.clone());
+            }
+        }
+        record
+    }
 }
 
 /// The bounded span ring. Cheap handle; clones share the recorder.
@@ -132,8 +199,7 @@ impl FlightRecorder {
                 clock,
                 recorded: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),
-                ring: Mutex::new(VecDeque::new()),
-                open: Mutex::new(HashMap::new()),
+                spans: Mutex::new(Spans::default()),
                 resolver: RwLock::new(None),
             }),
         }
@@ -206,7 +272,7 @@ impl FlightRecorder {
         let name = name.into();
         let app = self.resolve_app();
         let start_us = self.inner.clock.now_us();
-        self.inner.open.lock().insert(
+        self.inner.spans.lock().open.insert(
             id,
             Span {
                 id,
@@ -287,56 +353,78 @@ impl FlightRecorder {
         }
         let dur_us = latency_ns / 1_000;
         let now = self.inner.clock.now_us();
-        self.push(Span {
-            id: trace::next_id(),
-            trace_id: ctx.trace_id,
-            parent: ctx.parent_span,
-            category,
-            name: name.to_owned(),
-            app,
-            thread: trace::thread_ordinal(),
-            start_us: now.saturating_sub(dur_us),
-            dur_us,
-        });
+        self.push(
+            Span {
+                id: trace::next_id(),
+                trace_id: ctx.trace_id,
+                parent: ctx.parent_span,
+                category,
+                name: name.to_owned(),
+                app,
+                thread: trace::thread_ordinal(),
+                start_us: now.saturating_sub(dur_us),
+                dur_us,
+            },
+            false,
+        );
     }
 
-    fn push(&self, span: Span) {
+    /// Records a completed span; `was_open` when it closes a
+    /// [`SpanGuard`], whose open entry leaves under the same lock.
+    fn push(&self, span: Span, was_open: bool) {
         self.inner.recorded.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.inner.ring.lock();
-        if ring.len() >= self.inner.capacity {
-            ring.pop_front();
+        let dropped = {
+            let mut spans = self.inner.spans.lock();
+            if was_open {
+                spans.open.remove(&span.id);
+            }
+            spans.push(span, self.inner.capacity)
+        };
+        if dropped {
             self.inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.push_back(span);
     }
 
-    /// The retained spans, oldest first.
+    /// The retained completed spans, oldest first — the whole ring, for
+    /// exports and tests. Incidents read [`FlightRecorder::dump`] instead.
     pub fn spans(&self) -> Vec<Span> {
-        self.inner.ring.lock().iter().cloned().collect()
+        self.inner.spans.lock().ring.iter().cloned().collect()
     }
 
-    /// Snapshots the flight record for an incident (audit denial,
-    /// application fault): every completed span in the ring *plus* every
-    /// span still open at this moment, stamped with its duration so far.
-    /// Open ancestors matter — a denial early in an application's `main`
-    /// can race the spawner still inside its `exec` span, and the record
-    /// must show that exec regardless of which side wins.
+    /// The incident record for a denial, quota refusal or fault on the
+    /// calling thread: at most [`INCIDENT_SPANS`] spans, sorted by start.
+    /// Inside a trace it holds the thread's ancestor chain — its parent
+    /// span, that span's parent, and so on, whether still open (stamped
+    /// with its duration so far) or already in the ring — then the trace's
+    /// most recent completed spans. Open ancestors matter: a denial early
+    /// in an application's `main` can race the spawner still inside its
+    /// `exec` span, and the record must show that exec regardless of which
+    /// side wins. A thread outside any trace gets the ring's newest spans.
+    ///
+    /// One reverse scan of the ring under its lock; nothing outside the
+    /// record is cloned and the ring is never sorted.
     pub fn dump(&self) -> Vec<Span> {
-        let mut spans = self.spans();
         let now = self.inner.clock.now_us();
-        spans.extend(self.inner.open.lock().values().map(|open| {
-            let mut span = open.clone();
-            span.dur_us = now.saturating_sub(span.start_us);
-            span
-        }));
-        spans.sort_by_key(|span| (span.start_us, span.id));
-        spans
+        let spans = self.inner.spans.lock();
+        let mut record = match trace::current() {
+            Some(ctx) => spans.incident(ctx, now),
+            None => spans
+                .ring
+                .iter()
+                .rev()
+                .take(INCIDENT_SPANS)
+                .cloned()
+                .collect(),
+        };
+        drop(spans);
+        record.sort_by_key(|span| (span.start_us, span.id));
+        record
     }
 
     /// Empties the ring (keeps totals). Used by experiments that want the
     /// export of one isolated scenario.
     pub fn clear(&self) {
-        self.inner.ring.lock().clear();
+        self.inner.spans.lock().ring.clear();
     }
 
     /// Exports the retained spans as Chrome `trace_event` JSON — load the
@@ -418,18 +506,20 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let start_us = self.start_us;
         let end_us = self.recorder.inner.clock.now_us();
-        self.recorder.inner.open.lock().remove(&self.id);
-        self.recorder.push(Span {
-            id: self.id,
-            trace_id: self.trace_id,
-            parent: self.parent,
-            category: self.category,
-            name: mem::take(&mut self.name),
-            app: self.app,
-            thread: trace::thread_ordinal(),
-            start_us,
-            dur_us: end_us.saturating_sub(start_us),
-        });
+        self.recorder.push(
+            Span {
+                id: self.id,
+                trace_id: self.trace_id,
+                parent: self.parent,
+                category: self.category,
+                name: mem::take(&mut self.name),
+                app: self.app,
+                thread: trace::thread_ordinal(),
+                start_us,
+                dur_us: end_us.saturating_sub(start_us),
+            },
+            true,
+        );
         trace::install(self.prev);
     }
 }
@@ -570,6 +660,94 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn a_span_closing_during_a_dump_appears_exactly_once() {
+        // One thread closes spans while another dumps under each closing
+        // span's context: whichever side wins the race, the dump holds the
+        // span exactly once — open with its duration so far, or completed.
+        const ROUNDS: usize = 2_000;
+        let recorder = FlightRecorder::new(2 * ROUNDS);
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let closer = {
+            let recorder = recorder.clone();
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                for i in 0..ROUNDS {
+                    let span = recorder.begin(SpanCategory::Exec, format!("exec:{i}"));
+                    let span = span.expect("recording is on");
+                    tx.send(TraceCtx {
+                        trace_id: span.trace_id(),
+                        parent_span: span.span_id(),
+                    })
+                    .expect("dumper listens");
+                    barrier.wait();
+                    drop(span);
+                }
+            })
+        };
+        for _ in 0..ROUNDS {
+            let ctx = rx.recv().expect("closer sends");
+            trace::install(Some(ctx));
+            barrier.wait();
+            let dump = recorder.dump();
+            let seen = dump.iter().filter(|s| s.id == ctx.parent_span).count();
+            assert_eq!(seen, 1, "span {} in {dump:?}", ctx.parent_span);
+        }
+        trace::clear();
+        closer.join().expect("closer finishes");
+        let ring = recorder.spans();
+        let ids: std::collections::HashSet<u64> = ring.iter().map(|s| s.id).collect();
+        assert_eq!(
+            (ring.len(), ids.len()),
+            (ROUNDS, ROUNDS),
+            "each closed once"
+        );
+    }
+
+    #[test]
+    fn incident_record_is_the_ancestor_chain_then_the_newest_trace_spans() {
+        let recorder = FlightRecorder::new(DEFAULT_CAPACITY);
+        trace::clear();
+        let command = recorder.begin(SpanCategory::Command, "cmd").unwrap();
+        let exec = recorder.begin(SpanCategory::Exec, "exec:app").unwrap();
+        let app_ctx = trace::current().unwrap();
+        drop(exec);
+        // A foreign trace and 500 spans of this one push the closed exec
+        // far behind the newest spans.
+        let foreign = TraceCtx {
+            trace_id: trace::next_id(),
+            parent_span: 0,
+        };
+        for i in 0..500 {
+            recorder.record_with_ctx(SpanCategory::Pipe, &format!("p{i}"), app_ctx, None, 1_000);
+            recorder.record_with_ctx(SpanCategory::Pipe, "foreign", foreign, None, 1_000);
+        }
+        trace::install(Some(app_ctx));
+        let dump = recorder.dump();
+        assert_eq!(dump.len(), INCIDENT_SPANS);
+        assert!(dump.iter().all(|s| s.trace_id == app_ctx.trace_id));
+        assert!(
+            dump.iter().any(|s| s.name == "exec:app"),
+            "closed parent kept"
+        );
+        assert!(
+            dump.iter().any(|s| s.name == "cmd"),
+            "open grandparent kept"
+        );
+        assert!(dump.iter().any(|s| s.name == "p499"), "newest span kept");
+        assert!(!dump.iter().any(|s| s.name == "p400"), "older spans cut");
+        assert!(dump.windows(2).all(|w| w[0].start_us <= w[1].start_us));
+        // Outside any trace: the ring's newest spans, whatever their trace.
+        trace::clear();
+        let dump = recorder.dump();
+        assert_eq!(dump.len(), INCIDENT_SPANS);
+        assert!(dump.iter().any(|s| s.name == "foreign"));
+        assert!(!dump.iter().any(|s| s.name == "exec:app"));
+        drop(command);
+        trace::clear();
     }
 
     #[test]

@@ -228,7 +228,9 @@ pub const APP_ARENA_POOL_CAP: usize = 8;
 pub struct AppContext {
     app_id: u64,
     name: String,
-    user: RwLock<String>,
+    /// The running user, swapped whole by [`AppContext::set_user`]; a read
+    /// is one refcount bump, never an allocation.
+    user: RwLock<Arc<str>>,
     group: GroupId,
     ledger: ResourceLedger,
     limits: ResourceLimits,
@@ -240,6 +242,10 @@ pub struct AppContext {
     /// construction so the (batched) charge path is one `Arc` deref.
     mem_charged: Arc<jmp_obs::Counter>,
     mem_denied: Arc<jmp_obs::Counter>,
+    /// This application's `security.checks` counter, cached at
+    /// construction so a warm access check bumps it with no registry
+    /// lookup.
+    security_checks: Arc<jmp_obs::Counter>,
     /// Freed interpreter value arenas, kept charged for O(1) reuse; each
     /// entry carries the `Memory` bytes still charged for it.
     arena_pool: Mutex<Vec<(Vec<Value>, u64)>>,
@@ -265,19 +271,22 @@ impl fmt::Debug for AppContext {
 
 impl AppContext {
     /// Creates a context for application `app_id` rooted at `group`,
-    /// reporting denials through `hub`.
+    /// reporting denials through `hub`. The application's metrics registry
+    /// in `hub` is created here if it does not exist yet.
     pub fn new(
         app_id: u64,
         name: impl Into<String>,
-        user: impl Into<String>,
+        user: impl Into<Arc<str>>,
         group: GroupId,
         hub: ObsHub,
     ) -> Arc<AppContext> {
+        let name = name.into();
         let mem_charged = hub.vm_metrics().counter("memory.charged");
         let mem_denied = hub.vm_metrics().counter("memory.denied");
+        let security_checks = hub.app_registry(app_id, &name).counter("security.checks");
         Arc::new(AppContext {
             app_id,
-            name: name.into(),
+            name,
             user: RwLock::new(user.into()),
             group,
             ledger: ResourceLedger::new(),
@@ -288,6 +297,7 @@ impl AppContext {
             escalated: AtomicU64::new(0),
             mem_charged,
             mem_denied,
+            security_checks,
             arena_pool: Mutex::new(Vec::new()),
             arena_reuses: AtomicU64::new(0),
             resident: AtomicU64::new(0),
@@ -307,13 +317,19 @@ impl AppContext {
     }
 
     /// The user the application currently runs as.
-    pub fn user(&self) -> String {
-        self.user.read().clone()
+    pub fn user(&self) -> Arc<str> {
+        Arc::clone(&self.user.read())
     }
 
-    /// Updates the recorded user (mirrors `Application::set_user`).
-    pub fn set_user(&self, user: impl Into<String>) {
+    /// Swaps in a new running user (mirrors `Application::set_user`). The
+    /// next access check on any of the application's threads reads it.
+    pub fn set_user(&self, user: impl Into<Arc<str>>) {
         *self.user.write() = user.into();
+    }
+
+    /// The application's `security.checks` counter.
+    pub(crate) fn security_checks(&self) -> &jmp_obs::Counter {
+        &self.security_checks
     }
 
     /// The application's root thread group.
@@ -471,16 +487,8 @@ impl AppContext {
         }
         let user = self.user();
         let breaches = self.breaches.fetch_add(1, Ordering::Relaxed) + 1;
-        // Power-of-two sampling for the flight-recorder dump: the first few
-        // breaches get full forensics, a storm of them cannot weaponise the
-        // (expensive) ring snapshot against the rest of the VM.
-        self.hub.record_quota_denial(
-            self.app_id,
-            Some(&user),
-            kind.as_str(),
-            limit,
-            breaches.is_power_of_two(),
-        );
+        self.hub
+            .record_quota_denial(self.app_id, Some(&user), kind.as_str(), limit);
         let threshold = self.limits.hard_breach_threshold();
         if breaches >= threshold && self.escalated.swap(1, Ordering::Relaxed) == 0 {
             if let Some(hook) = self.hard_breach_hook.get() {

@@ -68,7 +68,7 @@ impl NativeHost for NoNatives {
     }
 }
 
-/// Execution counters, for the interpreter benches (experiments A3/A9).
+/// Execution counters, for the interpreter experiment (E18).
 ///
 /// `instructions` counts *wire* instructions (a fused superinstruction
 /// charges its component count), so the number is engine-independent;

@@ -1,4 +1,4 @@
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,7 +25,28 @@ use crate::Result;
 /// multi-processing layer, which maps the current thread to its application
 /// and the application to its user (paper §5.2/§5.3). Without a resolver,
 /// checks proceed with no user (pure code-source policy, as in stock JDK).
-pub type UserResolver = Arc<dyn Fn() -> Option<String> + Send + Sync>;
+/// The user is shared, not copied: a check resolves it once and allocates
+/// nothing.
+pub type UserResolver = Arc<dyn Fn() -> Option<Arc<str>> + Send + Sync>;
+
+/// Warm hits and trusted empty-stack bypasses read the clock for one check
+/// in this many per thread (starting with the thread's first), and only
+/// those samples feed `security.check_ns` and `security.check_depth`.
+/// Misses and denials are always timed.
+const CHECK_CLOCK_SAMPLE: u32 = 64;
+
+thread_local! {
+    /// Checks this thread has started, for [`CHECK_CLOCK_SAMPLE`].
+    static CHECKS_STARTED: Cell<u32> = const { Cell::new(0) };
+}
+
+/// The start instant of a sampled check; `None` for the unsampled ones.
+fn sampled_check_clock() -> Option<Instant> {
+    let started = CHECKS_STARTED.with(|n| n.replace(n.get().wrapping_add(1)));
+    started
+        .is_multiple_of(CHECK_CLOCK_SAMPLE)
+        .then(Instant::now)
+}
 
 /// The security manager interface consulted by runtime services (paper
 /// §3.3). The multi-processing layer installs its *system security manager*
@@ -88,7 +109,7 @@ struct VmInner {
     threads: RwLock<HashMap<ThreadId, VmThread>>,
     next_thread_id: AtomicU64,
     security_manager: EpochCell<dyn SecurityManager>,
-    user_resolver: EpochCell<dyn Fn() -> Option<String> + Send + Sync>,
+    user_resolver: EpochCell<dyn Fn() -> Option<Arc<str>> + Send + Sync>,
     decisions: DecisionCache,
     obs: ObsHub,
     shutdown: AtomicBool,
@@ -323,55 +344,43 @@ impl Vm {
     /// visible domain set](stack::probe_fingerprint) without snapshotting a
     /// context, and a granted decision cached for `(fingerprint, demand,
     /// running user)` under the current policy epoch is returned directly.
-    /// Denials are never cached — every denial re-runs the full walk so the
-    /// audit record names exactly the refusing domain.
+    /// A warm hit (or a trusted empty-stack bypass) only bumps counters —
+    /// VM-wide, and the application's through the handle its
+    /// [`AppContext`] caches — and reads the clock one check in 64; it
+    /// leaves no span. Denials are never cached — every denial re-runs the
+    /// full walk so the audit record names exactly the refusing domain.
     ///
     /// # Errors
     ///
     /// [`VmError::Security`] naming the refusing domain.
     pub fn access_check(&self, perm: &Permission) -> Result<()> {
-        let started = Instant::now();
+        let sampled = sampled_check_clock();
         let (fingerprint, depth) = stack::probe_fingerprint();
+        let app = thread::current_app_context();
+        let fast = |cache| {
+            let sample = sampled.map(|started| (started.elapsed().as_nanos() as u64, depth));
+            let app_checks = app.as_deref().map(AppContext::security_checks);
+            self.inner.obs.record_access_hit(cache, app_checks, sample);
+            Ok(())
+        };
         if fingerprint.unique == 0 {
             // Empty visible domain set: only runtime-internal code executes,
             // which is fully trusted. No context, no policy, no cache.
-            let latency_ns = started.elapsed().as_nanos() as u64;
-            self.inner.obs.record_access_check(
-                "",
-                None,
-                depth,
-                None,
-                latency_ns,
-                CacheOutcome::Bypass,
-            );
-            return Ok(());
+            return fast(CacheOutcome::Bypass);
         }
         // Capture the epoch before consulting anything the epoch guards
         // (user resolver, policy): if a reload races this check, the stale
         // insert below can never serve a post-reload lookup.
         let epoch = self.inner.decisions.epoch();
         let user = self.current_user();
+        let user = user.as_deref();
+        let ledger = self.inner.obs.demands();
         // Per-site inline cache: when this check was triggered from inside
         // an interpreted `CallNative` site, the site remembers its last
         // grant, so a warm repeat is answered by one epoch/fingerprint
         // compare — before even hashing into the shared decision cache.
-        if crate::decision_cache::site_check(
-            epoch,
-            fingerprint,
-            perm,
-            user.as_deref(),
-            self.inner.obs.demands(),
-        ) {
-            let latency_ns = started.elapsed().as_nanos() as u64;
-            self.inner.obs.record_access_check(
-                "",
-                None,
-                depth,
-                user.as_deref(),
-                latency_ns,
-                CacheOutcome::Hit,
-            );
-            return Ok(());
+        if crate::decision_cache::site_check(epoch, fingerprint, perm, user, ledger) {
+            return fast(CacheOutcome::Hit);
         }
         // A hit also bumps the demand-ledger cell captured when the decision
         // was first derived (one relaxed fetch_add inside the lookup), so
@@ -379,57 +388,33 @@ impl Vm {
         // With a native site active, the hit additionally primes the site's
         // inline cache (carrying the cell along) for the next repeat.
         let shared_hit = if crate::decision_cache::has_active_site() {
-            match self.inner.decisions.lookup_granted_with_cell(
-                fingerprint,
-                perm,
-                user.as_deref(),
-                self.inner.obs.demands(),
-            ) {
+            match self
+                .inner
+                .decisions
+                .lookup_granted_with_cell(fingerprint, perm, user, ledger)
+            {
                 Some(cell) => {
-                    crate::decision_cache::site_store(
-                        epoch,
-                        fingerprint,
-                        perm,
-                        user.as_deref(),
-                        cell,
-                    );
+                    crate::decision_cache::site_store(epoch, fingerprint, perm, user, cell);
                     true
                 }
                 None => false,
             }
         } else {
-            self.inner.decisions.lookup_granted(
-                fingerprint,
-                perm,
-                user.as_deref(),
-                self.inner.obs.demands(),
-            )
+            self.inner
+                .decisions
+                .lookup_granted(fingerprint, perm, user, ledger)
         };
         if shared_hit {
-            let latency_ns = started.elapsed().as_nanos() as u64;
-            self.inner.obs.record_access_check(
-                "",
-                None,
-                depth,
-                user.as_deref(),
-                latency_ns,
-                CacheOutcome::Hit,
-            );
-            return Ok(());
+            return fast(CacheOutcome::Hit);
         }
+        // A miss: always timed, from here when this check was not sampled.
+        let started = sampled.unwrap_or_else(Instant::now);
         let ctx = stack::current_access_context();
-        let ledger = self.inner.obs.demands();
         let mut routes = Vec::new();
         let result = if ledger.enabled() {
-            AccessController::check_with_routes(
-                &ctx,
-                perm,
-                user.as_deref(),
-                &self.policy(),
-                &mut routes,
-            )
+            AccessController::check_with_routes(&ctx, perm, user, &self.policy(), &mut routes)
         } else {
-            AccessController::check_with(&ctx, perm, user.as_deref(), &self.policy())
+            AccessController::check_with(&ctx, perm, user, &self.policy())
         };
         let latency_ns = started.elapsed().as_nanos() as u64;
         // The hub only reads the permission/context strings on a denial, so
@@ -451,7 +436,7 @@ impl Vm {
                         let cell = ledger.record(
                             app,
                             &route.source,
-                            user.as_deref(),
+                            user,
                             &permission,
                             true,
                             route.via_user,
@@ -470,24 +455,18 @@ impl Vm {
                 self.inner.decisions.insert_granted(
                     fingerprint,
                     perm,
-                    user.as_deref(),
+                    user,
                     epoch,
                     demand_cell.clone(),
                 );
                 // Prime the triggering native call site's inline cache
                 // (no-op when the check came from outside the interpreter).
-                crate::decision_cache::site_store(
-                    epoch,
-                    fingerprint,
-                    perm,
-                    user.as_deref(),
-                    demand_cell,
-                );
+                crate::decision_cache::site_store(epoch, fingerprint, perm, user, demand_cell);
                 self.inner.obs.record_access_check(
                     "",
                     None,
                     depth,
-                    user.as_deref(),
+                    user,
                     latency_ns,
                     CacheOutcome::Miss,
                 );
@@ -497,7 +476,7 @@ impl Vm {
                     ledger.record(
                         self.inner.obs.current_app(),
                         &refused.source,
-                        user.as_deref(),
+                        user,
                         &perm.to_string(),
                         false,
                         false,
@@ -508,7 +487,7 @@ impl Vm {
                     &perm.to_string(),
                     Some(&err.to_string()),
                     depth,
-                    user.as_deref(),
+                    user,
                     latency_ns,
                     CacheOutcome::Bypass,
                 );
@@ -559,7 +538,7 @@ impl Vm {
     }
 
     /// The running user for the current thread, per the installed resolver.
-    pub fn current_user(&self) -> Option<String> {
+    pub fn current_user(&self) -> Option<Arc<str>> {
         self.inner.user_resolver.load().and_then(|r| r())
     }
 
@@ -1191,7 +1170,7 @@ mod tests {
             vec![Permission::exercise_user_permissions()],
         );
         let vm = Vm::builder().policy(policy).build();
-        vm.set_user_resolver(Arc::new(|| Some("alice".to_string())))
+        vm.set_user_resolver(Arc::new(|| Some(Arc::from("alice"))))
             .unwrap();
 
         let editor = Arc::new(jmp_security::ProtectionDomain::new(
@@ -1269,17 +1248,24 @@ mod tests {
     #[test]
     fn access_checks_feed_the_obs_hub() {
         let vm = Vm::new();
-        // Empty stack => trusted => granted.
-        vm.check_permission(&Permission::runtime("harmless"))
-            .unwrap();
-        let untrusted = Arc::new(jmp_security::ProtectionDomain::untrusted(
-            CodeSource::remote("http://evil/x"),
-        ));
-        stack::call_as("Evil", untrusted, || {
-            assert!(vm
-                .check_permission(&Permission::runtime("forbidden"))
-                .is_err());
-        });
+        // A fresh thread, so its first check is one the clock samples.
+        let checker = vm.clone();
+        std::thread::spawn(move || {
+            // Empty stack => trusted => granted.
+            checker
+                .check_permission(&Permission::runtime("harmless"))
+                .unwrap();
+            let untrusted = Arc::new(jmp_security::ProtectionDomain::untrusted(
+                CodeSource::remote("http://evil/x"),
+            ));
+            stack::call_as("Evil", untrusted, || {
+                assert!(checker
+                    .check_permission(&Permission::runtime("forbidden"))
+                    .is_err());
+            });
+        })
+        .join()
+        .unwrap();
         let metrics = vm.obs().vm_metrics();
         assert_eq!(metrics.counter("security.checks").get(), 2);
         assert_eq!(metrics.counter("security.denied").get(), 1);
@@ -1290,6 +1276,56 @@ mod tests {
         let events = vm.obs().sink().recent();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, EventKind::AccessDenied);
+    }
+
+    #[test]
+    fn hits_sample_the_clock_and_leave_no_span_while_misses_always_record() {
+        use jmp_security::FileActions;
+        let mut policy = Policy::new();
+        policy.grant_code(
+            CodeSource::local("file:/apps/-"),
+            vec![Permission::file("/data/-", FileActions::READ)],
+        );
+        let vm = Vm::builder().policy(policy).build();
+        let checker = vm.clone();
+        std::thread::spawn(move || {
+            let _request = checker
+                .obs()
+                .recorder()
+                .begin(jmp_obs::SpanCategory::Command, "request");
+            let app = Arc::new(jmp_security::ProtectionDomain::new(
+                CodeSource::local("file:/apps/reader"),
+                checker
+                    .policy()
+                    .permissions_for(&CodeSource::local("file:/apps/reader")),
+            ));
+            let demand = Permission::file("/data/report", FileActions::READ);
+            stack::call_as("Reader", app, || {
+                // Checks 1, 65 and 129 of this thread read the clock.
+                for _ in 0..130 {
+                    checker.access_check(&demand).unwrap();
+                }
+            });
+            // A trusted empty-stack check counts like a hit.
+            checker.access_check(&demand).unwrap();
+        })
+        .join()
+        .unwrap();
+        let metrics = vm.obs().vm_metrics();
+        assert_eq!(metrics.counter("security.checks").get(), 131);
+        assert_eq!(metrics.counter("access.cache.misses").get(), 1);
+        assert_eq!(metrics.counter("access.cache.hits").get(), 129);
+        assert_eq!(metrics.counter("access.cache.bypass").get(), 1);
+        // The miss (check 1, also sampled) and hits 65 and 129.
+        assert_eq!(metrics.histogram("security.check_ns").count(), 3);
+        assert_eq!(metrics.histogram("security.check_depth").count(), 3);
+        let spans = vm.obs().recorder().spans();
+        let checks: Vec<_> = spans
+            .iter()
+            .filter(|s| s.category == jmp_obs::SpanCategory::Check)
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(checks, ["access-check:miss"], "only the miss left a span");
     }
 
     #[test]
@@ -1444,7 +1480,7 @@ mod tests {
             vec![Permission::exercise_user_permissions()],
         );
         let vm = Vm::builder().policy(policy).build();
-        vm.set_user_resolver(Arc::new(|| Some("alice".to_string())))
+        vm.set_user_resolver(Arc::new(|| Some(Arc::from("alice"))))
             .unwrap();
         let editor = Arc::new(jmp_security::ProtectionDomain::new(
             CodeSource::local("file:/apps/editor"),

@@ -42,7 +42,7 @@ fn user_policy(user: &str, paths: &[&str]) -> Policy {
 #[test]
 fn reload_honors_new_grants_and_revokes_old_ones() {
     let vm = Vm::builder().policy(user_policy("alice", &["/a"])).build();
-    vm.set_user_resolver(Arc::new(|| Some("alice".to_string())))
+    vm.set_user_resolver(Arc::new(|| Some(Arc::from("alice"))))
         .unwrap();
     let editor = exercising_domain(&vm, "file:/apps/editor");
     let read_a = Permission::file("/a", FileActions::READ);
@@ -113,7 +113,7 @@ fn concurrent_checks_and_reloads_stay_consistent() {
     let policy_without = user_policy("alice", &["/stable"]);
 
     let vm = Vm::builder().policy(policy_with.clone()).build();
-    vm.set_user_resolver(Arc::new(|| Some("alice".to_string())))
+    vm.set_user_resolver(Arc::new(|| Some(Arc::from("alice"))))
         .unwrap();
     let editor = exercising_domain(&vm, "file:/apps/editor");
     let stable = Permission::file("/stable", FileActions::READ);

@@ -1,14 +1,15 @@
 //! Causal tracing integration: one trace id survives exec → AWT
 //! post/dispatch → pipe write/read; the watchdog flags a blocked
-//! dispatcher; and the `traceVm` permission gates the flight recorder.
+//! dispatcher; the `traceVm` permission gates the flight recorder; and a
+//! denial's bounded incident record still shows how the app got there.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use jmp_awt::{ComponentId, DispatchMode, Toolkit};
 use jmp_core::MpRuntime;
-use jmp_obs::{EventKind, SpanCategory};
-use jmp_security::Policy;
+use jmp_obs::{EventKind, SpanCategory, INCIDENT_SPANS};
+use jmp_security::{FileActions, Permission, Policy};
 use tests_integration::{register_app, runtime};
 
 fn gui_runtime(mode: DispatchMode) -> MpRuntime {
@@ -72,7 +73,8 @@ fn one_trace_id_survives_exec_dispatch_and_pipe() {
     app.stop(0).unwrap();
     let _ = app.wait_for();
 
-    let spans = rt.vm().obs().recorder().dump();
+    // The whole ring, not an incident record: this thread is in no trace.
+    let spans = rt.vm().obs().recorder().spans();
     let exec = spans
         .iter()
         .find(|s| s.category == SpanCategory::Exec && s.name.contains("tracer"))
@@ -241,6 +243,43 @@ fn denials_carry_the_flight_record() {
             .any(|s| s.category == SpanCategory::Exec && s.name.contains("snoop2")),
         "the record shows how we got here (the exec span): {:?}",
         denials[0].trace
+    );
+    rt.shutdown();
+}
+
+#[test]
+fn denials_carry_the_exec_span_after_ten_thousand_warm_checks() {
+    // Warm hits leave no span, so an application that hammers a granted
+    // check cannot flood its own exec span out of the ring before it is
+    // denied: the incident record still shows how it got there, and holds
+    // at most INCIDENT_SPANS spans.
+    let rt = runtime();
+    let alice = rt.users().lookup("alice").unwrap();
+    rt.vfs()
+        .write("/home/alice/secret.txt", b"private", alice.id())
+        .unwrap();
+    register_app(&rt, "snoop3", |_| {
+        let rt = MpRuntime::current().expect("on-runtime");
+        let own = Permission::file("/home/bob/notes.txt", FileActions::READ);
+        for _ in 0..10_000 {
+            rt.vm().check_permission(&own)?;
+        }
+        assert!(jmp_core::files::read("/home/alice/secret.txt").is_err());
+        Ok(())
+    });
+    rt.launch_as("bob", "snoop3", &[])
+        .unwrap()
+        .wait_for()
+        .unwrap();
+    let denials = rt.vm().obs().audit_query(Some("bob"), None);
+    assert_eq!(denials.len(), 1);
+    let record = &denials[0].trace;
+    assert!(record.len() <= INCIDENT_SPANS, "{} spans", record.len());
+    assert!(
+        record
+            .iter()
+            .any(|s| s.category == SpanCategory::Exec && s.name.contains("snoop3")),
+        "the exec span survives 10,000 warm checks: {record:?}"
     );
     rt.shutdown();
 }

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use jmp_core::{files, login, Application};
+use jmp_security::{FileActions, Permission};
 use parking_lot::Mutex;
 use tests_integration::{register_app, runtime};
 
@@ -87,6 +88,55 @@ fn rights_follow_a_mid_flight_user_change() {
     let (before, after) = phases.first().expect("probe ran");
     assert!(!before, "as bob, alice's file is unreadable");
     assert!(after, "after login as alice, it is readable");
+    rt.shutdown();
+}
+
+#[test]
+fn a_warm_grant_does_not_survive_a_user_switch() {
+    // The decision cache is keyed by the running user, which a check reads
+    // from the application context without copying it. Once `login`
+    // switches alice to bob, the very next check of the path alice was
+    // just granted from the cache must be denied.
+    let rt = runtime();
+    static PHASES: Mutex<Vec<(bool, u64, bool)>> = Mutex::new(Vec::new());
+    // Registered under the exact code source that holds `setUser`.
+    rt.vm()
+        .material()
+        .register(
+            jmp_vm::ClassDef::builder("switcher")
+                .main(|_| {
+                    let rt = jmp_core::MpRuntime::current().expect("on-runtime");
+                    let vm = rt.vm();
+                    let hits = || vm.obs().vm_metrics().counter("access.cache.hits").get();
+                    let read = Permission::file("/home/alice/a.txt", FileActions::READ);
+                    vm.check_permission(&read)?;
+                    let before = hits();
+                    let warm = (0..3).all(|_| vm.check_permission(&read).is_ok());
+                    let warm_hits = hits() - before;
+                    login::login("bob", "bpw").map_err(jmp_vm::VmError::from)?;
+                    let after = vm.check_permission(&read).is_ok();
+                    PHASES.lock().push((warm, warm_hits, after));
+                    Ok(())
+                })
+                .build(),
+            jmp_security::CodeSource::local("file:/apps/login"),
+        )
+        .unwrap();
+    rt.launch_as("alice", "switcher", &[])
+        .unwrap()
+        .wait_for()
+        .unwrap();
+    let phases = PHASES.lock();
+    let (warm, warm_hits, after) = *phases.first().expect("probe ran");
+    assert!(warm, "as alice, her own file is readable");
+    assert!(warm_hits >= 3, "the repeats were cache hits ({warm_hits})");
+    assert!(!after, "as bob, the next check of the same path is denied");
+    assert!(rt
+        .vm()
+        .obs()
+        .audit_query(Some("bob"), None)
+        .iter()
+        .any(|r| r.permission.contains("/home/alice/a.txt")));
     rt.shutdown();
 }
 
