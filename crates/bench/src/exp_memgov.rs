@@ -26,7 +26,7 @@
 //!   ≤5% added cost per wire instruction.
 
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use jmp_core::MpRuntime;
@@ -34,7 +34,7 @@ use jmp_security::Policy;
 use jmp_vm::interp::{assemble, difftest, ClassImage, Interpreter, NoNatives, Value};
 use jmp_vm::{AppContext, ResourceKind, Vm};
 
-use crate::harness::{median, round_minima, wire_insns, SUM_LOOP};
+use crate::harness::{await_earlier_reaps, median, round_minima, wire_insns, SUM_LOOP};
 use crate::table::{ok, Table};
 use crate::Report;
 
@@ -134,6 +134,8 @@ struct Outcome {
     audited: usize,
     breaches: u64,
     drained: bool,
+    /// Reaped applications whose `AppContext` outlived their reap.
+    resident: usize,
 }
 
 /// Runs one scenario: optionally a pack of bombs as `mallory`, then the
@@ -194,6 +196,12 @@ fn run_scenario(capped: bool, bombs: bool) -> Outcome {
     let drained = jmp_awt::Toolkit::wait_until(Duration::from_secs(5), || {
         contexts.iter().all(|ctx| ctx.ledger().is_drained())
     });
+    // Reap frees the application: once the last handle here is gone and
+    // every reap has run, no context may still be alive.
+    let reaped: Vec<Weak<AppContext>> = contexts.iter().map(Arc::downgrade).collect();
+    drop(contexts);
+    await_earlier_reaps(&rt);
+    let resident = reaped.iter().filter(|ctx| ctx.strong_count() > 0).count();
     rt.shutdown();
     Outcome {
         victim_ms,
@@ -202,6 +210,7 @@ fn run_scenario(capped: bool, bombs: bool) -> Outcome {
         audited,
         breaches,
         drained,
+        resident,
     }
 }
 
@@ -367,6 +376,9 @@ pub struct E20Summary {
     pub hostile_breaches: u64,
     /// Every ledger drained to zero after the capped run (gated).
     pub ledgers_drained: bool,
+    /// Reaped applications of the capped run whose `AppContext` is still
+    /// alive once every reap has finished (0 gated).
+    pub reaped_apps_resident: usize,
     /// Differential corpus comparisons run (cases × split points).
     pub ckpt_comparisons: usize,
     /// Checkpoint/restore divergences from plain runs (0 gated).
@@ -459,6 +471,11 @@ pub fn e20_memgov() -> Report {
         format!("{}", capped.drained),
         ok(capped.drained).to_string(),
     ]);
+    e20b.rowd(&[
+        "reaped apps still resident".to_string(),
+        format!("{}", capped.resident),
+        ok(capped.resident == 0).to_string(),
+    ]);
     e20b.note("a denied charge fails typed (QuotaExceeded{memory}), lands in the audit");
     e20b.note("trail, bumps both counters, and the reaped ledgers read exactly zero");
 
@@ -539,6 +556,7 @@ pub fn e20_memgov() -> Report {
         audited_denials: capped.audited,
         hostile_breaches: capped.breaches,
         ledgers_drained: capped.drained,
+        reaped_apps_resident: capped.resident,
         ckpt_comparisons,
         ckpt_divergences: divergences.len(),
         roundtrip_identical: identical,
@@ -573,5 +591,9 @@ mod tests {
         assert!(summary.quota_denied >= 1);
         assert!(summary.audited_denials >= 1);
         assert!(summary.ledgers_drained);
+        assert_eq!(
+            summary.reaped_apps_resident, 0,
+            "reaped apps still resident"
+        );
     }
 }

@@ -7,7 +7,10 @@
 //! * **E16a** — per-view opcode accounting: instructions, apportioned
 //!   cost, and the busiest opcodes, VM-wide and for each application
 //!   (arithmetic-heavy `cruncher` vs string/native-heavy `mixer` — the
-//!   mixes must differ, or attribution is broken).
+//!   mixes must differ, or attribution is broken). A churn phase then runs
+//!   more interpreted applications than the profiler keeps reaped views
+//!   for, and counts the reaped views a report still holds (the CI gate
+//!   is ≤ [`REAPED_VIEWS`]).
 //! * **E16b** — sampled collapsed stacks per view: distinct stacks and the
 //!   heaviest stack with its sampled weight.
 //! * **E16c** — accounting overhead on a direct interpreter (no VM):
@@ -19,10 +22,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use jmp_obs::{ProfileReport, Profiler};
+use jmp_core::AppId;
+use jmp_obs::{ProfileReport, Profiler, REAPED_VIEWS};
 use jmp_vm::interp::{assemble, Interpreter, NativeHost, NoNatives, Value};
 
-use crate::harness::{per_call_minima, register_app, standard_runtime, wire_insns, SUM_LOOP};
+use crate::harness::{
+    await_earlier_reaps, per_call_minima, register_app, standard_runtime, wire_insns, SUM_LOOP,
+};
 use crate::table::Table;
 use crate::{Artifact, Report};
 
@@ -61,6 +67,29 @@ const SAMPLES_WANTED: u64 = 8;
 /// Hard cap on the scenario, for loaded machines.
 const SCENARIO_TIMEOUT: Duration = Duration::from_secs(20);
 
+/// Short interpreted applications the churn phase runs and reaps: more
+/// than the profiler keeps reaped views for.
+const CHURN_APPS: usize = REAPED_VIEWS + 16;
+
+/// The churn phase's application: a 100-iteration counting loop.
+const CHURN: &str = r#"
+    class Churn
+    method main/0 locals=1
+        push_int 0
+        store 0
+    loop:
+        load 0
+        push_int 1
+        add
+        store 0
+        load 0
+        push_int 100
+        lt
+        jump_if_true loop
+        load 0
+        return_value
+"#;
+
 /// Interleaved off/on rounds for the overhead measurement. Each round is
 /// a few hundred microseconds, so a generous count is cheap and gives
 /// the round minima plenty of chances to land on a quiet slice.
@@ -85,6 +114,11 @@ pub struct E16Summary {
     pub vm_instructions: u64,
     /// Applications with their own profile view.
     pub apps_profiled: usize,
+    /// Interpreted applications the churn phase ran and reaped.
+    pub churn_apps: usize,
+    /// Views of reaped applications a report holds after the churn phase
+    /// (the CI gate is ≤ [`REAPED_VIEWS`]).
+    pub retained_app_views: usize,
     /// The VM-wide busiest opcode by apportioned cost.
     pub top_opcode: String,
     /// Distinct collapsed stacks sampled VM-wide.
@@ -115,8 +149,9 @@ pub struct E16Artifacts {
 }
 
 /// Runs the two-application scenario and returns the profile report taken
-/// after both applications finished.
-fn scenario_report() -> ProfileReport {
+/// after both applications finished, then the churn phase, returning how
+/// many reaped applications' views the report after it holds.
+fn scenario_report() -> (ProfileReport, usize) {
     let rt = standard_runtime(None);
     let profiler = rt.vm().obs().profiler().clone();
     profiler.reset();
@@ -158,8 +193,28 @@ fn scenario_report() -> ProfileReport {
     // Read through the permission-gated facade (the harness thread has an
     // empty stack, i.e. full host trust) so the gate is exercised too.
     let report = jmp_core::obs::profile_report(&rt).expect("host context reads the profile");
+
+    // Churn: every reaped application's view beyond the newest
+    // `REAPED_VIEWS` must be dropped.
+    let churn = assemble(CHURN).expect("churn assembles");
+    for _ in 0..CHURN_APPS {
+        let app = rt
+            .launch_image("alice", churn.clone(), &[])
+            .expect("churn app launches");
+        app.wait_for().expect("churn app finishes");
+    }
+    await_earlier_reaps(&rt);
+    let retained = jmp_core::obs::profile_report(&rt)
+        .expect("host context reads the profile")
+        .apps
+        .iter()
+        .filter(|view| {
+            view.app
+                .is_some_and(|id| rt.application(AppId(id)).is_none())
+        })
+        .count();
     rt.shutdown();
-    report
+    (report, retained)
 }
 
 /// Measures per-instruction cost with accounting off vs on, on a direct
@@ -193,7 +248,7 @@ fn measured_overhead() -> [f64; 2] {
 
 /// Runs E16: the tables plus `BENCH_E16.json` and `e16-flame.txt`.
 pub fn e16_profile() -> Report {
-    let report = scenario_report();
+    let (report, retained_app_views) = scenario_report();
     let [off_ns, on_ns] = measured_overhead();
     let overhead_pct = if off_ns > 0.0 {
         (on_ns / off_ns - 1.0) * 100.0
@@ -224,6 +279,10 @@ pub fn e16_profile() -> Report {
     }
     e16a.note("cost is wall time apportioned over the batch by opcode weight;");
     e16a.note("the two applications must show different dominant opcodes.");
+    e16a.note(format!(
+        "after {CHURN_APPS} more interpreted apps ran and were reaped, a report holds \
+         {retained_app_views} reaped apps' views (at most {REAPED_VIEWS} are kept)."
+    ));
 
     let mut e16b = Table::new(
         "E16b",
@@ -261,6 +320,8 @@ pub fn e16_profile() -> Report {
     let summary = E16Summary {
         vm_instructions: report.vm.instructions,
         apps_profiled: report.apps.len(),
+        churn_apps: CHURN_APPS,
+        retained_app_views,
         top_opcode,
         distinct_stacks: report.vm.stacks.len(),
         samples_taken: report.samples_taken,
@@ -305,6 +366,10 @@ mod tests {
         let summary = &artifacts.summary;
         assert!(summary.vm_instructions > 0, "opcodes were accounted");
         assert_eq!(summary.apps_profiled, 2, "both applications got views");
+        assert_eq!(
+            summary.retained_app_views, REAPED_VIEWS,
+            "the newest reaped views are kept, the older dropped"
+        );
         assert!(summary.samples_taken > 0, "the profiler thread sampled");
         assert!(
             summary.distinct_stacks > 0,

@@ -4,43 +4,57 @@
 //! scripted scenario (`e12-chrome-trace.json`).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use jmp_awt::{DispatchMode, Toolkit};
 use jmp_obs::{trace, FlightRecorder, SpanCategory, TraceCtx};
 use jmp_security::Permission;
 
-use crate::harness::{per_call_minima, register_app, standard_runtime, ARM_ROUNDS};
+use crate::harness::{
+    per_call_minima, register_app, round_minima, standard_runtime, time_ns, ARM_ROUNDS,
+};
 use crate::table::{fmt_ns, Table};
 use crate::{Artifact, Report};
 
-/// Granted permission checks per measurement.
-const CHECKS: u64 = 20_000;
+/// Granted permission checks per loop.
+const CHECKS: u32 = 20_000;
+/// Rounds of the access-check arms: each times a recorder-off loop, then a
+/// recorder-on loop.
+const CHECK_ROUNDS: usize = 7;
 /// Events pushed through the dispatcher per measurement.
 const EVENTS: usize = 400;
 /// Calls per round of the span-site arms.
 const SPAN_CALLS: u32 = 2_000;
 
-static CHECK_NS: AtomicU64 = AtomicU64::new(0);
+static CHECK_NS: Mutex<[f64; 2]> = Mutex::new([0.0; 2]);
 static DISPATCH_NS: AtomicU64 = AtomicU64::new(0);
 static DELIVERED: AtomicUsize = AtomicUsize::new(0);
 static SAMPLE_CLICKS: AtomicUsize = AtomicUsize::new(0);
 static SAMPLE_DONE: AtomicUsize = AtomicUsize::new(0);
 
-/// Per-check cost of `Vm::check_permission` from an application thread
-/// (which carries a trace context, so the recorder-on path really records).
-fn measured_check_ns(tracing: bool) -> f64 {
+/// Per-check cost of `Vm::check_permission` with the recorder off and on,
+/// `[off_ns, on_ns]`: both arms run in one application thread (which
+/// carries a trace context, so the recorder-on path really records), one
+/// loop each per round, and each arm keeps its round minimum.
+fn measured_check_ns() -> [f64; 2] {
     let rt = standard_runtime(None);
-    rt.vm().obs().recorder().set_enabled(tracing);
-    CHECK_NS.store(0, Ordering::SeqCst);
+    *CHECK_NS.lock().expect("unpoisoned") = [0.0; 2];
     register_app(&rt, "checker", |_| {
         let rt = jmp_core::MpRuntime::current().expect("on-runtime");
         let permission = Permission::runtime("execApplication");
-        let start = Instant::now();
-        for _ in 0..CHECKS {
-            rt.vm().check_permission(&permission)?;
-        }
-        CHECK_NS.store(start.elapsed().as_nanos() as u64, Ordering::SeqCst);
+        let arm = |tracing: bool| {
+            rt.vm().obs().recorder().set_enabled(tracing);
+            time_ns(|| {
+                for _ in 0..CHECKS {
+                    rt.vm()
+                        .check_permission(&permission)
+                        .expect("the checker holds execApplication");
+                }
+            }) / f64::from(CHECKS)
+        };
+        let best = round_minima(CHECK_ROUNDS, || [arm(false), arm(true)]);
+        *CHECK_NS.lock().expect("unpoisoned") = best;
         Ok(())
     });
     rt.launch_as("alice", "checker", &[])
@@ -48,7 +62,9 @@ fn measured_check_ns(tracing: bool) -> f64 {
         .wait_for()
         .expect("checker finishes");
     rt.shutdown();
-    CHECK_NS.load(Ordering::SeqCst) as f64 / CHECKS as f64
+    let best = *CHECK_NS.lock().expect("unpoisoned");
+    assert!(best.iter().all(|&ns| ns > 0.0), "the checker ran: {best:?}");
+    best
 }
 
 /// Per-event cost of posting an action to our own window and having the
@@ -109,14 +125,13 @@ pub fn e12_trace_overhead() -> Report {
             format!("{pct:+.1}%"),
         ]);
     };
-    type Measure = fn(bool) -> f64;
-    let paths: [(&str, Measure); 2] = [
-        ("granted access check", measured_check_ns),
-        ("AWT post→dispatch", measured_dispatch_ns),
-    ];
-    for (name, measure) in paths {
-        row(name, measure(false), measure(true));
-    }
+    let [check_off, check_on] = measured_check_ns();
+    row("granted access check", check_off, check_on);
+    row(
+        "AWT post→dispatch",
+        measured_dispatch_ns(false),
+        measured_dispatch_ns(true),
+    );
 
     // A bare span site under an installed trace context: a finished span
     // recorded into a live and a disabled ring, and a disabled `begin`.
@@ -141,6 +156,10 @@ pub fn e12_trace_overhead() -> Report {
     table.rowd(&["span site: begin", &fmt_ns(begin_ns), "-", "-"]);
     table.note("recorder off must cost ~one relaxed atomic load per span site;");
     table.note("recorder on pays one ring push (mutex + VecDeque) per span.");
+    table.note(format!(
+        "access-check row: round minima of {CHECK_ROUNDS} rounds x {CHECKS} checks per arm, \
+         both arms in one application thread."
+    ));
     table.note(format!(
         "span-site rows: round minima of {ARM_ROUNDS} rounds x {SPAN_CALLS} calls per arm."
     ));

@@ -108,6 +108,7 @@ pub const GATES: &[Gate] = &[
     gate(E16, "vm_instructions", NonZero, "profiler accounting regression"),
     gate(E16, "apps_profiled", AtLeast(2.0), "profiler attribution regression"),
     gate(E16, "distinct_stacks", NonZero, "profiler sampling regression"),
+    gate(E16, "retained_app_views", AtMost(64.0), "reaped profile-view regression"),
     gate(FLAME, "lines", CollapsedStacks, "malformed collapsed-stack line"),
     gate(E17, "replay_spurious_denials", Equals(0.0), "inference soundness regression"),
     gate(E17, "training_spurious_denials", Equals(0.0), "training-run regression"),
@@ -130,6 +131,7 @@ pub const GATES: &[Gate] = &[
     gate(E20, "quota_denied", NonZero, "memory enforcement regression"),
     gate(E20, "audited_denials", NonZero, "memory audit regression"),
     gate(E20, "ledgers_drained", True, "ledger exactness regression"),
+    gate(E20, "reaped_apps_resident", Equals(0.0), "reaped-application leak regression"),
     gate(E20, "ckpt_divergences", Equals(0.0), "checkpoint fidelity regression"),
     gate(E20, "ckpt_comparisons", AtLeast(200.0), "checkpoint corpus regression"),
     gate(E20, "roundtrip_identical", True, "migrate regression (output)"),
@@ -311,8 +313,8 @@ mod tests {
     const GOOD_FLAME: &str = "Main;Main.run 120\nMain 3\n";
 
     #[test]
-    fn the_table_holds_the_43_conditions() {
-        assert_eq!(GATES.len(), 43);
+    fn the_table_holds_the_45_conditions() {
+        assert_eq!(GATES.len(), 45);
         assert_eq!(
             failed_rows(&render(&passing_summaries(), GOOD_FLAME)),
             vec![]

@@ -8,7 +8,7 @@ use std::time::Instant;
 use jmp_awt::DispatchMode;
 use jmp_core::MpRuntime;
 use jmp_security::Policy;
-use jmp_vm::interp::InterpStats;
+use jmp_vm::interp::{assemble, InterpStats};
 
 /// Serializes latency-sensitive experiment unit tests (E13–E17) within the
 /// test binary: each measures wall-clock thresholds (victim containment,
@@ -142,6 +142,30 @@ pub fn standard_runtime(gui: Option<DispatchMode>) -> MpRuntime {
     let rt = builder.build().expect("runtime builds");
     jmp_shell::install(&rt).expect("tools install");
     rt
+}
+
+/// Blocks until every reap queued so far has finished. Reaps run in order
+/// on the runtime's one reaper thread, so once a trivial application
+/// launched now (as `alice`) has its `AppReap` published, every earlier
+/// application is fully torn down: its registry and profile view retired,
+/// its handles dropped.
+pub fn await_earlier_reaps(rt: &MpRuntime) {
+    let events = rt.vm().obs().sink().subscribe();
+    let image = assemble("class Barrier\nmethod main/0 locals=0\n  push_int 0\n  return_value\n")
+        .expect("barrier assembles");
+    let id = rt
+        .launch_image("alice", image, &[])
+        .expect("barrier launches")
+        .id()
+        .0;
+    loop {
+        let event = events
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the barrier's reap is published");
+        if event.kind == jmp_obs::EventKind::AppReap && event.app == Some(id) {
+            return;
+        }
+    }
 }
 
 /// Registers a one-off native class in `rt` under `file:/apps/<name>`.

@@ -150,8 +150,9 @@ impl Application {
     ///
     /// [`Error::NotAnApplication`] off-application.
     pub fn exit(code: i32) -> Result<()> {
-        let app = Application::current().ok_or(Error::NotAnApplication)?;
-        app.request_exit(code);
+        Application::current()
+            .ok_or(Error::NotAnApplication)?
+            .request_exit(code);
         // Block until the reaper interrupts us.
         loop {
             if jmp_vm::thread::sleep(Duration::from_millis(50)).is_err() {
@@ -181,7 +182,7 @@ impl Application {
                     .check_permission(&Permission::runtime("stopApplication"))?;
             }
         }
-        self.request_exit(code);
+        self.clone().request_exit(code);
         Ok(())
     }
 
@@ -425,7 +426,11 @@ impl Application {
         self.inner.rt.upgrade().map(|inner| MpRuntime { inner })
     }
 
-    pub(crate) fn request_exit(&self, code: i32) {
+    /// Schedules this application for the reaper. Takes the handle: it is
+    /// dropped before the reap is queued, so a caller that holds no other
+    /// handle (the group's empty hook) cannot keep the application alive
+    /// past its reap.
+    pub(crate) fn request_exit(self, code: i32) {
         {
             let mut status = self.inner.status.lock();
             if *status != AppStatus::Running {
@@ -453,7 +458,9 @@ impl Application {
                 Some(self.user().name().to_string()),
                 code.to_string(),
             );
-            rt.inner.reap_queue.send(self.inner.id);
+            let id = self.inner.id;
+            drop(self);
+            rt.inner.reap_queue.send(id);
         }
     }
 
@@ -579,10 +586,16 @@ pub(crate) fn spawn_app(rt: &MpRuntime, spec: ExecSpec) -> Result<Application> {
 
             // Natural end (paper §5.1): "the JVM will call the exit method as
             // soon as there are only daemon threads left in the application's
-            // thread group."
-            let hook_app = app.clone();
+            // thread group." The hook holds the application weakly: the
+            // application owns the group the hook lives on, so a strong
+            // handle would close the cycle `AppInner → ThreadGroup → hook →
+            // AppInner` and no reap could ever free the application. A hook
+            // firing after the last handle is gone has nothing to exit.
+            let hook_app = Arc::downgrade(&app.inner);
             group.set_empty_hook(Arc::new(move || {
-                hook_app.request_exit(0);
+                if let Some(inner) = hook_app.upgrade() {
+                    Application { inner }.request_exit(0);
+                }
             }));
 
             // The main thread: runs `main` via "reflection" (dynamic class
@@ -705,8 +718,11 @@ pub(crate) fn reap(rt: &MpRuntime, id: AppId) {
         app.inner.status_cv.notify_all();
     }
 
-    // 6. Retire the application's metrics registry and record the reap.
+    // 6. Retire the application's metrics registry and profile view, then
+    //    record the reap: a subscriber that sees `AppReap` finds the
+    //    application's observability state already retired.
     let hub = rt.vm().obs();
+    hub.remove_app(id.0);
     hub.vm_metrics().counter("apps.reaped").inc();
     hub.sink().publish(
         EventKind::AppReap,
@@ -714,5 +730,4 @@ pub(crate) fn reap(rt: &MpRuntime, id: AppId) {
         Some(app.user().name().to_string()),
         code.to_string(),
     );
-    hub.remove_app(id.0);
 }

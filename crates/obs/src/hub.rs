@@ -303,19 +303,23 @@ impl ObsHub {
         self.app_shard(id).read().live.get(&id).map(Arc::clone)
     }
 
-    /// Drops application `id`'s registry (called after reap). Its counters
-    /// stop appearing in snapshots; its per-application-only totals are
-    /// folded into the retired pool so the [`ObsHub::rollup`] never shrinks.
-    /// The removal and the fold happen under ONE shard write lock, so a
-    /// rollup racing the reap counts the application exactly once — it can
-    /// never observe the registry gone from the live table but not yet
-    /// merged into the retired pool.
+    /// Retires application `id` at reap: drops its registry and retires its
+    /// profile view ([`Profiler::retire_app`]). Its counters stop appearing
+    /// in snapshots; its per-application-only totals are folded into the
+    /// retired pool so the [`ObsHub::rollup`] never shrinks. The removal and
+    /// the fold happen under ONE shard write lock, so a rollup racing the
+    /// reap counts the application exactly once — it can never observe the
+    /// registry gone from the live table but not yet merged into the
+    /// retired pool.
     pub fn remove_app(&self, id: u64) {
-        let mut shard = self.app_shard(id).write();
-        if let Some(registry) = shard.live.remove(&id) {
-            let snapshot = registry.snapshot();
-            shard.retired.merge(&snapshot);
+        {
+            let mut shard = self.app_shard(id).write();
+            if let Some(registry) = shard.live.remove(&id) {
+                let snapshot = registry.snapshot();
+                shard.retired.merge(&snapshot);
+            }
         }
+        self.inner.profiler.retire_app(id);
     }
 
     /// Live per-application registries, in application-id order. Collected

@@ -59,7 +59,7 @@ pub use hub::{AppResolver, CacheOutcome, HubSnapshot, ObsClock, ObsHub};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,
 };
-pub use profile::{OpcodeProfile, ProfileReport, ProfileView, Profiler, ThreadLoc};
+pub use profile::{OpcodeProfile, ProfileReport, ProfileView, Profiler, ThreadLoc, REAPED_VIEWS};
 pub use recorder::{FlightRecorder, Span, SpanCategory, SpanGuard, INCIDENT_SPANS};
 pub use sink::{Event, EventKind, EventSink};
 pub use trace::TraceCtx;

@@ -32,6 +32,13 @@
 //!   same frame are one settled entry, not ten thousand scans every 10 ms;
 //!   re-sampling an unchanged stack adds no information, so none is lost.
 //!
+//! A live application's view grows with its work. When the application is
+//! reaped, [`Profiler::retire_app`] freezes its view into a FIFO of the
+//! [`REAPED_VIEWS`] most recently reaped; an older view is dropped, and the
+//! VM-wide view, which counted every block, is all that remains of it. A
+//! thread slot or settled population still holding a retired view bills
+//! only the VM-wide view from then on, so nothing re-creates it.
+//!
 //! Writing into the profiler is free of permission checks, like the rest of
 //! the hub; reading a [`ProfileReport`] back out is gated behind
 //! `RuntimePermission("readProfile")` in the runtime layer, because one
@@ -62,6 +69,11 @@ const MAX_OPCODE_SHARES: usize = 64;
 /// `"(overflow)"` so a stack-key explosion cannot grow without bound.
 const MAX_STACKS: usize = 512;
 
+/// Reaped applications whose views reports keep, newest last. A view costs
+/// about 30 KB once its application has run interpreted code, so keeping
+/// every reaped application's would grow without bound.
+pub const REAPED_VIEWS: usize = 64;
+
 /// One thread's published "current location": the frame stack the sampler
 /// reads. Created by [`Profiler::register_thread`]; the owning thread keeps
 /// the only strong reference besides the registry, so slot lifetime follows
@@ -69,6 +81,9 @@ const MAX_STACKS: usize = 512;
 pub struct ThreadLoc {
     thread: u64,
     app: Option<u64>,
+    /// The application's view, resolved at registration so the sampler
+    /// bills it without a lookup — and cannot re-create it once retired.
+    view: Option<AppTable>,
     frames: Mutex<Vec<Arc<str>>>,
     /// Whether the slot is currently in the sampler's scan set. Entered on
     /// the first non-empty publication — a thread that never interprets
@@ -163,9 +178,27 @@ struct ViewTable {
     cost_ns: Vec<u64>,
     hists: Vec<Histogram>,
     stacks: BTreeMap<String, u64>,
+    /// Set when the view's application is reaped: the table is frozen and
+    /// ignores further blocks and samples.
+    retired: bool,
+}
+
+/// One application's view, shared by the registry and whatever bills it.
+type AppTable = Arc<Mutex<ViewTable>>;
+
+/// The per-application views: live applications' by id, and the
+/// [`REAPED_VIEWS`] most recently retired, oldest first.
+#[derive(Default)]
+struct AppViews {
+    live: BTreeMap<u64, AppTable>,
+    reaped: VecDeque<(u64, AppTable)>,
 }
 
 impl ViewTable {
+    fn is_empty(&self) -> bool {
+        self.counts.iter().all(|&c| c == 0) && self.stacks.is_empty()
+    }
+
     fn ensure(&mut self, len: usize) {
         if self.counts.len() < len {
             self.counts.resize(len, 0);
@@ -175,6 +208,9 @@ impl ViewTable {
     }
 
     fn add_block(&mut self, counts: &[u64], shares: &[u64]) {
+        if self.retired {
+            return;
+        }
         self.ensure(counts.len());
         for (i, (&count, &share)) in counts.iter().zip(shares.iter()).enumerate() {
             if count == 0 {
@@ -187,6 +223,9 @@ impl ViewTable {
     }
 
     fn add_sample(&mut self, key: &str, weight_us: u64) {
+        if self.retired {
+            return;
+        }
         if self.stacks.len() >= MAX_STACKS && !self.stacks.contains_key(key) {
             *self.stacks.entry("(overflow)".to_string()).or_insert(0) += weight_us;
             return;
@@ -212,6 +251,8 @@ struct SampleEvent {
 struct SettledEntry {
     count: u64,
     settle_tick: u64,
+    /// The members' application view (`None` = VM bucket only).
+    view: Option<AppTable>,
 }
 
 struct ProfilerInner {
@@ -220,7 +261,7 @@ struct ProfilerInner {
     clock: ObsClock,
     model: RwLock<OpcodeModel>,
     vm: Mutex<ViewTable>,
-    apps: RwLock<BTreeMap<u64, Arc<Mutex<ViewTable>>>>,
+    apps: RwLock<AppViews>,
     threads: Mutex<Vec<Weak<ThreadLoc>>>,
     settled: Mutex<BTreeMap<(Option<u64>, String), SettledEntry>>,
     tick: AtomicU64,
@@ -233,7 +274,7 @@ struct ProfilerInner {
 /// Brings `entry` up to the current tick: adds its owed weight to the VM
 /// and per-app view tables and rebases `settle_tick`. Takes table locks
 /// only — never `threads` or `settled` (the caller may hold either).
-fn materialize(inner: &ProfilerInner, app: Option<u64>, key: &str, entry: &mut SettledEntry) {
+fn materialize(inner: &ProfilerInner, key: &str, entry: &mut SettledEntry) {
     let tick = inner.tick.load(Ordering::Relaxed);
     let owed_ticks = tick.saturating_sub(entry.settle_tick);
     entry.settle_tick = tick;
@@ -242,8 +283,8 @@ fn materialize(inner: &ProfilerInner, app: Option<u64>, key: &str, entry: &mut S
     }
     let weight = owed_ticks * entry.count * inner.last_interval.load(Ordering::Relaxed);
     inner.vm.lock().add_sample(key, weight);
-    if let Some(app) = app {
-        inner_app_table(inner, app).lock().add_sample(key, weight);
+    if let Some(view) = &entry.view {
+        view.lock().add_sample(key, weight);
     }
     inner
         .samples
@@ -256,7 +297,7 @@ fn unsettle(inner: &ProfilerInner, app: Option<u64>, key: String) {
     let mut settled = inner.settled.lock();
     let map_key = (app, key);
     if let Some(entry) = settled.get_mut(&map_key) {
-        materialize(inner, map_key.0, &map_key.1, entry);
+        materialize(inner, &map_key.1, entry);
         entry.count -= 1;
         if entry.count == 0 {
             settled.remove(&map_key);
@@ -264,17 +305,18 @@ fn unsettle(inner: &ProfilerInner, app: Option<u64>, key: String) {
     }
 }
 
-fn inner_app_table(inner: &ProfilerInner, app: u64) -> Arc<Mutex<ViewTable>> {
-    if let Some(table) = inner.apps.read().get(&app) {
+/// `app`'s live view, created on first use. An id that comes back after
+/// its view was retired (a checkpoint restored under its old id) starts a
+/// fresh view, which replaces the retired one.
+fn inner_app_table(inner: &ProfilerInner, app: u64) -> AppTable {
+    if let Some(table) = inner.apps.read().live.get(&app) {
         return Arc::clone(table);
     }
-    Arc::clone(
-        inner
-            .apps
-            .write()
-            .entry(app)
-            .or_insert_with(|| Arc::new(Mutex::new(ViewTable::default()))),
-    )
+    let mut views = inner.apps.write();
+    if !views.live.contains_key(&app) {
+        views.reaped.retain(|(id, _)| *id != app);
+    }
+    Arc::clone(views.live.entry(app).or_default())
 }
 
 /// The profiler. Cheap handle; clones share state. Both collection modes
@@ -308,7 +350,7 @@ impl Profiler {
                 clock,
                 model: RwLock::new(OpcodeModel::default()),
                 vm: Mutex::new(ViewTable::default()),
-                apps: RwLock::new(BTreeMap::new()),
+                apps: RwLock::new(AppViews::default()),
                 threads: Mutex::new(Vec::new()),
                 settled: Mutex::new(BTreeMap::new()),
                 tick: AtomicU64::new(0),
@@ -402,7 +444,7 @@ impl Profiler {
         drop(model);
         self.inner.vm.lock().add_block(&counts[..n], &shares[..n]);
         if let Some(app) = app {
-            self.app_table(app)
+            inner_app_table(&self.inner, app)
                 .lock()
                 .add_block(&counts[..n], &shares[..n]);
         }
@@ -420,6 +462,7 @@ impl Profiler {
         Arc::new_cyclic(|me| ThreadLoc {
             thread: trace::thread_ordinal(),
             app,
+            view: app.map(|app| inner_app_table(&self.inner, app)),
             frames: Mutex::new(Vec::new()),
             enrolled: AtomicBool::new(false),
             dirty: AtomicBool::new(false),
@@ -470,10 +513,8 @@ impl Profiler {
                 .collect::<Vec<&str>>()
                 .join(";");
             inner.vm.lock().add_sample(&key, interval_us);
-            if let Some(app) = loc.app {
-                inner_app_table(inner, app)
-                    .lock()
-                    .add_sample(&key, interval_us);
+            if let Some(view) = &loc.view {
+                view.lock().add_sample(&key, interval_us);
             }
             let top = frames.last().map_or(String::new(), |f| f.to_string());
             let mut events = inner.events.lock();
@@ -500,11 +541,12 @@ impl Profiler {
                 let mut settled = inner.settled.lock();
                 let entry = settled
                     .entry((loc.app, key.clone()))
-                    .or_insert(SettledEntry {
+                    .or_insert_with(|| SettledEntry {
                         count: 0,
                         settle_tick: tick,
+                        view: loc.view.clone(),
                     });
-                materialize(inner, loc.app, &key, entry);
+                materialize(inner, &key, entry);
                 entry.count += 1;
                 *loc.settled.lock() = Some(key);
             }
@@ -529,8 +571,8 @@ impl Profiler {
     fn materialize_settled(&self) {
         let inner = &*self.inner;
         let mut settled = inner.settled.lock();
-        for ((app, key), entry) in settled.iter_mut() {
-            materialize(inner, *app, key, entry);
+        for ((_, key), entry) in settled.iter_mut() {
+            materialize(inner, key, entry);
         }
     }
 
@@ -549,13 +591,18 @@ impl Profiler {
         self.materialize_settled();
         let model = self.inner.model.read();
         let vm = render_view(None, &self.inner.vm.lock(), &model);
-        let apps: Vec<ProfileView> = self
-            .inner
-            .apps
-            .read()
+        let views = self.inner.apps.read();
+        let mut apps: Vec<ProfileView> = views
+            .live
             .iter()
-            .map(|(&id, table)| render_view(Some(id), &table.lock(), &model))
+            .chain(views.reaped.iter().map(|(id, table)| (id, table)))
+            .filter_map(|(&id, table)| {
+                let table = table.lock();
+                (!table.is_empty()).then(|| render_view(Some(id), &table, &model))
+            })
             .collect();
+        drop(views);
+        apps.sort_by_key(|view| view.app);
         ProfileReport {
             at_ms: self.inner.clock.now_ms(),
             accounting_enabled: self.accounting_enabled(),
@@ -594,10 +641,31 @@ impl Profiler {
             .collect()
     }
 
-    /// Drops everything collected (tallies, stacks, retained samples, the
-    /// flush/sample totals). Enablement, the opcode model, and registered
-    /// thread slots survive — `profile reset` starts a fresh window, it
-    /// does not tear the profiler down.
+    /// Retires `app`'s view at reap: the view is frozen, joins the
+    /// [`REAPED_VIEWS`] most recently retired (the oldest beyond them is
+    /// dropped), and whatever still holds it — a straggling thread slot, a
+    /// settled population — bills only the VM-wide view from now on.
+    pub fn retire_app(&self, app: u64) {
+        let mut views = self.inner.apps.write();
+        let Some(table) = views.live.remove(&app) else {
+            return;
+        };
+        let mut frozen = table.lock();
+        frozen.retired = true;
+        if frozen.is_empty() {
+            return;
+        }
+        drop(frozen);
+        views.reaped.push_back((app, table));
+        if views.reaped.len() > REAPED_VIEWS {
+            views.reaped.pop_front();
+        }
+    }
+
+    /// Drops everything collected (tallies, stacks, retained samples,
+    /// retired views, the flush/sample totals). Enablement, the opcode
+    /// model, and registered thread slots survive — `profile reset` starts
+    /// a fresh window, it does not tear the profiler down.
     pub fn reset(&self) {
         // The settled *population* survives a reset (it is who exists, not
         // what was collected), but its accrual rebases onto the new window.
@@ -606,14 +674,17 @@ impl Profiler {
             entry.settle_tick = tick;
         }
         *self.inner.vm.lock() = ViewTable::default();
-        self.inner.apps.write().clear();
+        // Live views are cleared in place: thread slots and settled
+        // populations hold them and keep billing them.
+        let mut views = self.inner.apps.write();
+        for table in views.live.values() {
+            *table.lock() = ViewTable::default();
+        }
+        views.reaped.clear();
+        drop(views);
         self.inner.events.lock().clear();
         self.inner.flushes.store(0, Ordering::Relaxed);
         self.inner.samples.store(0, Ordering::Relaxed);
-    }
-
-    fn app_table(&self, app: u64) -> Arc<Mutex<ViewTable>> {
-        inner_app_table(&self.inner, app)
     }
 }
 
@@ -716,7 +787,8 @@ impl ProfileView {
 
 /// A point-in-time snapshot of everything both collection modes gathered:
 /// the VM-wide view plus one view per application that executed interpreted
-/// code. Serializable — `experiments --out DIR` writes one of these into
+/// code and is live or among the [`REAPED_VIEWS`] most recently reaped.
+/// Serializable — `experiments --out DIR` writes one of these into
 /// `BENCH_E16.json`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProfileReport {
@@ -732,7 +804,8 @@ pub struct ProfileReport {
     pub samples_taken: u64,
     /// The VM-wide view (every thread, detached work included).
     pub vm: ProfileView,
-    /// Per-application views, in application-id order.
+    /// Per-application views, live and recently reaped, in application-id
+    /// order.
     pub apps: Vec<ProfileView>,
 }
 
@@ -898,6 +971,76 @@ mod tests {
         assert!(p.chrome_events().is_empty());
         // The slot survives a reset: sampling keeps working.
         assert_eq!(p.sample_once(1_000), 1);
+    }
+
+    #[test]
+    fn reaped_views_keep_a_window_of_the_newest() {
+        let p = Profiler::new();
+        model(&p);
+        let live = 1_000;
+        p.record_block(Some(live), &[1, 0, 0], 10);
+        for app in 0..200 {
+            p.record_block(Some(app), &[app + 1, 0, 1], 100);
+        }
+        let before = p.report();
+        assert_eq!(before.apps.len(), 201);
+        for app in 0..200 {
+            p.retire_app(app);
+        }
+        let after = p.report();
+        // The live view plus the 64 most recently reaped, in id order.
+        let ids: Vec<u64> = after.apps.iter().filter_map(|v| v.app).collect();
+        let newest: Vec<u64> = (200 - REAPED_VIEWS as u64..200).chain([live]).collect();
+        assert_eq!(ids, newest);
+        assert_eq!(after.view(Some(199)), before.view(Some(199)));
+        assert_eq!(after.view(Some(live)), before.view(Some(live)));
+        assert_eq!(after.vm, before.vm, "the VM-wide view counts every block");
+        // The live app's reap pushes the oldest reaped view out.
+        p.retire_app(live);
+        let ids: Vec<u64> = p.report().apps.iter().filter_map(|v| v.app).collect();
+        let newest: Vec<u64> = (201 - REAPED_VIEWS as u64..200).chain([live]).collect();
+        assert_eq!(ids, newest);
+        p.reset();
+        assert!(p.report().apps.is_empty(), "reset clears the window");
+    }
+
+    #[test]
+    fn late_samples_and_settled_exits_do_not_revive_a_retired_view() {
+        let p = Profiler::new();
+        model(&p);
+        let moving = p.register_thread(Some(1));
+        let parked = p.register_thread(Some(1));
+        let work = [Arc::from("A.main"), Arc::from("A.work")];
+        moving.publish(&work);
+        parked.publish(&[Arc::from("A.main")]);
+        assert_eq!(p.sample_once(10_000), 2);
+        moving.publish(&work);
+        // `parked` did not move: sampled once more and settled.
+        assert_eq!(p.sample_once(10_000), 2);
+        let before = p.report().view(Some(1)).cloned().expect("app 1 has a view");
+        p.retire_app(1);
+        // Inside the window the view stays as it was at retirement: the
+        // moving thread's tick and the settled accrual bill the VM only.
+        moving.publish(&work);
+        assert_eq!(p.sample_once(10_000), 1);
+        let report = p.report();
+        assert_eq!(report.view(Some(1)), Some(&before));
+        assert_eq!(report.vm.stacks["A.main"], 3 * 10_000);
+        // Past the window the view is gone, and neither a tick nor the
+        // settled thread's exit brings it back.
+        for app in 2..2 + REAPED_VIEWS as u64 {
+            p.record_block(Some(app), &[1, 0, 0], 10);
+            p.retire_app(app);
+        }
+        assert!(p.report().view(Some(1)).is_none());
+        moving.publish(&work);
+        assert_eq!(p.sample_once(10_000), 1);
+        drop(parked);
+        drop(moving);
+        let report = p.report();
+        assert!(report.view(Some(1)).is_none());
+        assert_eq!(report.apps.len(), REAPED_VIEWS);
+        assert_eq!(report.vm.stacks["A.main;A.work"], 4 * 10_000);
     }
 
     #[test]

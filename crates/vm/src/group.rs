@@ -12,6 +12,14 @@ use crate::Result;
 
 static NEXT_GROUP_ID: AtomicU64 = AtomicU64::new(1);
 
+/// The sweep threshold's floor: a parent with few live children sweeps
+/// once it holds twice this many entries, not on every push.
+const MIN_CHILDREN_SWEPT: usize = 8;
+
+/// A hook run when a group's subtree runs out of non-daemon threads (see
+/// [`ThreadGroup::set_empty_hook`]).
+pub(crate) type EmptyHook = Arc<dyn Fn() + Send + Sync>;
+
 /// Identifier of a [`ThreadGroup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GroupId(pub u64);
@@ -30,12 +38,16 @@ struct GroupState {
     nondaemon_in_subtree: usize,
     /// All threads (daemon + non-daemon) in this group's subtree.
     threads_in_subtree: usize,
-    /// Child groups (weak: a group dies when its last handle drops).
+    /// Child groups (weak: a group dies when its last handle drops). Dead
+    /// entries are swept when a push finds the vector doubled since the
+    /// last sweep, so it stays proportional to the live children.
     children: Vec<Weak<GroupInner>>,
+    /// `children.len()` right after the last sweep.
+    children_swept: usize,
     /// Destroyed groups accept no new threads or children.
     destroyed: bool,
     /// Invoked (outside the lock) when `nondaemon_in_subtree` falls to zero.
-    empty_hook: Option<Arc<dyn Fn() + Send + Sync>>,
+    empty_hook: Option<EmptyHook>,
 }
 
 struct GroupInner {
@@ -96,6 +108,10 @@ impl ThreadGroup {
                 "thread group {} is destroyed",
                 self.inner.name
             )));
+        }
+        if state.children.len() >= 2 * state.children_swept.max(MIN_CHILDREN_SWEPT) {
+            state.children.retain(|child| child.strong_count() > 0);
+            state.children_swept = state.children.len();
         }
         state.children.push(Arc::downgrade(&child.inner));
         Ok(child)
@@ -170,8 +186,20 @@ impl ThreadGroup {
     /// empty-hooks / waking waiters on groups whose non-daemon count reaches
     /// zero. Low-level counterpart of [`ThreadGroup::register_thread`].
     pub fn deregister_thread(&self, id: ThreadId, daemon: bool) {
+        // Hooks run outside all group locks: they typically schedule
+        // application teardown, which itself takes group locks.
+        for hook in self.release_thread(id, daemon) {
+            hook();
+        }
+    }
+
+    /// The bookkeeping half of [`ThreadGroup::deregister_thread`]: removes
+    /// the thread and updates the counts, but returns the empty hooks due
+    /// instead of running them, for a caller that must first drop its own
+    /// group handles (the exiting thread itself).
+    pub(crate) fn release_thread(&self, id: ThreadId, daemon: bool) -> Vec<EmptyHook> {
         self.inner.state.lock().local_threads.remove(&id);
-        let mut hooks: Vec<Arc<dyn Fn() + Send + Sync>> = Vec::new();
+        let mut hooks = Vec::new();
         let mut cursor = Some(self.clone());
         while let Some(group) = cursor {
             {
@@ -189,11 +217,7 @@ impl ThreadGroup {
             }
             cursor = group.inner.parent.clone();
         }
-        // Hooks run outside all group locks: they typically schedule
-        // application teardown, which itself takes group locks.
-        for hook in hooks {
-            hook();
-        }
+        hooks
     }
 
     /// Installs a hook invoked whenever the subtree's non-daemon count drops
@@ -414,6 +438,29 @@ mod tests {
         // `b`'s last handle dropped; the weak ref no longer upgrades.
         assert_eq!(root.children().len(), 1);
         assert_eq!(root.children()[0].name(), "a");
+    }
+
+    #[test]
+    fn dead_children_are_swept_as_groups_come_and_go() {
+        // An application's group is a child of `main` that dies at reap;
+        // ten thousand of them must not leave ten thousand dead entries.
+        let root = ThreadGroup::new_root("system");
+        let kept: Vec<ThreadGroup> = (0..3)
+            .map(|i| root.new_child(format!("kept-{i}")).unwrap())
+            .collect();
+        for i in 0..10_000 {
+            drop(root.new_child(format!("app-{i}")).unwrap());
+            let entries = root.inner.state.lock().children.len();
+            assert!(entries <= 2 * MIN_CHILDREN_SWEPT + 1, "{entries} entries");
+        }
+        let names: Vec<String> = root
+            .children()
+            .iter()
+            .map(|g| g.name().to_string())
+            .collect();
+        assert_eq!(names, ["kept-0", "kept-1", "kept-2"]);
+        drop(kept);
+        assert!(root.children().is_empty());
     }
 
     #[test]

@@ -162,6 +162,23 @@ enum RunState {
     Finished(Option<String>),
 }
 
+/// A thread's run state and the condvar its joiners wait on, held apart
+/// from the rest of [`ThreadCtl`]: the spawn wrapper drops its handle on
+/// the control block, and with it the thread's application context and
+/// group, *before* it releases the joiners. A reaper whose join returns
+/// finds nothing of the application kept alive by the finishing thread.
+pub(crate) struct Completion {
+    state: Mutex<RunState>,
+    finished: Condvar,
+}
+
+impl Completion {
+    pub(crate) fn finish(&self, panic_message: Option<String>) {
+        *self.state.lock() = RunState::Finished(panic_message);
+        self.finished.notify_all();
+    }
+}
+
 pub(crate) struct ThreadCtl {
     pub(crate) id: ThreadId,
     pub(crate) name: String,
@@ -171,8 +188,7 @@ pub(crate) struct ThreadCtl {
     /// spawning thread unless overridden). `None` for system threads.
     pub(crate) app: Option<Arc<AppContext>>,
     interrupted: AtomicBool,
-    state: Mutex<RunState>,
-    finished: Condvar,
+    pub(crate) completion: Arc<Completion>,
     /// Wakers to invoke on interruption, keyed for O(1)ish removal. The
     /// interrupting thread snapshots the list and calls each waker *after*
     /// releasing this lock, so wakers may freely take their own locks.
@@ -198,8 +214,10 @@ impl ThreadCtl {
             group,
             app,
             interrupted: AtomicBool::new(false),
-            state: Mutex::new(RunState::Running),
-            finished: Condvar::new(),
+            completion: Arc::new(Completion {
+                state: Mutex::new(RunState::Running),
+                finished: Condvar::new(),
+            }),
             wakers: Mutex::new(Vec::new()),
             next_waker: AtomicU64::new(1),
             sleep_channel: Mutex::new(None),
@@ -226,9 +244,9 @@ impl ThreadCtl {
         self.wakers.lock().retain(|(wid, _)| *wid != id);
     }
 
+    #[cfg(test)]
     pub(crate) fn mark_finished(&self, panic_message: Option<String>) {
-        *self.state.lock() = RunState::Finished(panic_message);
-        self.finished.notify_all();
+        self.completion.finish(panic_message);
     }
 }
 
@@ -285,7 +303,7 @@ impl VmThread {
 
     /// Returns `true` while the thread body is still executing.
     pub fn is_alive(&self) -> bool {
-        matches!(*self.ctl.state.lock(), RunState::Running)
+        matches!(*self.ctl.completion.state.lock(), RunState::Running)
     }
 
     /// Returns `true` if the thread has been interrupted.
@@ -327,12 +345,13 @@ impl VmThread {
         // waker locks the target's state mutex before notifying, so a
         // notification can never land between the interrupt check below
         // and the wait.
-        let target = Arc::clone(&self.ctl);
+        let done = &self.ctl.completion;
+        let target = Arc::clone(done);
         let _waker = register_interrupt_waker(Arc::new(move || {
             let _state = target.state.lock();
             target.finished.notify_all();
         }));
-        let mut state = self.ctl.state.lock();
+        let mut state = done.state.lock();
         loop {
             match &*state {
                 RunState::Finished(None) => return Ok(()),
@@ -345,7 +364,7 @@ impl VmThread {
                     if current_interrupted() {
                         return Err(VmError::Interrupted);
                     }
-                    self.ctl.finished.wait(&mut state);
+                    done.finished.wait(&mut state);
                 }
             }
         }
@@ -355,7 +374,8 @@ impl VmThread {
     /// finished (even by panicking).
     pub fn join_timeout(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut state = self.ctl.state.lock();
+        let done = &self.ctl.completion;
+        let mut state = done.state.lock();
         loop {
             if matches!(*state, RunState::Finished(_)) {
                 return true;
@@ -364,8 +384,8 @@ impl VmThread {
             if now >= deadline {
                 return false;
             }
-            // One wait for the whole remainder: `mark_finished` notifies.
-            self.ctl.finished.wait_for(&mut state, deadline - now);
+            // One wait for the whole remainder: `finish` notifies.
+            done.finished.wait_for(&mut state, deadline - now);
         }
     }
 }

@@ -882,15 +882,29 @@ impl ThreadBuilder {
             stack::clear();
             crate::profloc::clear();
             CURRENT_VM.with(|c| *c.borrow_mut() = None);
-            vm_for_thread.inner.threads.write().remove(&id);
             // Release the ledger slot *before* deregistering: the group's
             // empty hook can trigger a reap that observes the ledger, and a
             // drained app must read as drained by then.
             if let Some(app) = &ctl.app {
                 app.uncharge(ResourceKind::Threads, 1);
             }
-            group.deregister_thread(id, daemon);
-            ctl.mark_finished(panic_message);
+            // Let go of the application before anything can reap it. The
+            // thread drops its own handles on its control block, which holds
+            // the application's context, and leaves the VM table, whose
+            // handle goes last: a reaper that listed the thread holds a
+            // handle of its own and joins it. Only then does the thread
+            // leave its group, run the empty hooks that schedule the reap,
+            // and release its joiners.
+            let completion = Arc::clone(&ctl.completion);
+            drop(_guard);
+            drop(ctl);
+            vm_for_thread.inner.threads.write().remove(&id);
+            let hooks = group.release_thread(id, daemon);
+            drop(group);
+            for hook in hooks {
+                hook();
+            }
+            completion.finish(panic_message);
         });
         match spawn_result {
             Ok(_join) => Ok(handle),

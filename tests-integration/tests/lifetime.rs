@@ -2,10 +2,13 @@
 //! threads, including the AWT dispatcher case of paper §5.4.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use jmp_awt::{DispatchMode, Toolkit};
 use jmp_core::{AppStatus, Application, MpRuntime};
+use jmp_obs::EventKind;
+use jmp_vm::AppContext;
 use tests_integration::{policy, register_app, runtime};
 
 #[test]
@@ -126,5 +129,98 @@ fn stop_is_idempotent_and_wait_for_is_reentrant() {
     assert_eq!(app.wait_for().unwrap(), 5);
     assert_eq!(app.wait_for().unwrap(), 5, "wait_for after finish returns");
     assert!(matches!(app.status(), AppStatus::Finished(5)));
+    rt.shutdown();
+}
+
+#[test]
+fn reaped_applications_are_freed() {
+    // Paper §5.1: the reaper "will eventually clean up the application".
+    // Once reaped, nothing in the runtime keeps an application's context,
+    // loader, `System` class or thread group alive — however it ended.
+    static PIPED: Mutex<Vec<Weak<AppContext>>> = Mutex::new(Vec::new());
+    let rt = runtime();
+    register_app(&rt, "returns", |_| Ok(()));
+    register_app(&rt, "exits", |args| {
+        let code = args[0].parse().expect("numeric code");
+        Application::exit(code).map_err(jmp_vm::VmError::from)
+    });
+    register_app(&rt, "parks", |_| {
+        jmp_vm::thread::sleep(Duration::from_secs(600))
+    });
+    // The sink of a shell pipeline records its own context: the shell,
+    // not the test, launches it.
+    register_app(&rt, "drain", |_| {
+        let app = Application::current().expect("on an application");
+        PIPED.lock().unwrap().push(Arc::downgrade(app.context()));
+        while app.stdin().read_line()?.is_some() {}
+        Ok(())
+    });
+    register_app(&rt, "pipeline", |_| {
+        jmp_shell::Shell::new()
+            .execute_line("echo ping | drain")
+            .map(drop)
+            .map_err(jmp_vm::VmError::from)
+    });
+
+    let mut contexts = Vec::new();
+    for round in 0..20 {
+        let code = round.to_string();
+        for (class, args) in [
+            ("returns", vec![]),
+            ("exits", vec![code.as_str()]),
+            ("pipeline", vec![]),
+        ] {
+            let app = rt.launch_as("alice", class, &args).unwrap();
+            contexts.push(Arc::downgrade(app.context()));
+            app.wait_for().unwrap();
+        }
+        let parked = rt.launch_as("bob", "parks", &[]).unwrap();
+        contexts.push(Arc::downgrade(parked.context()));
+        parked.stop(round).unwrap();
+        assert_eq!(parked.wait_for().unwrap(), round);
+    }
+    contexts.extend(PIPED.lock().unwrap().drain(..));
+    assert_eq!(
+        contexts.len(),
+        100,
+        "20 rounds of 4 launches + 20 pipeline sinks"
+    );
+
+    // Reaps run in order on the one reaper thread: once a later
+    // application's reap is published, every earlier reap has finished.
+    let events = rt.vm().obs().sink().subscribe();
+    let last = rt.launch_as("alice", "returns", &[]).unwrap();
+    let last_id = last.id().0;
+    drop(last);
+    loop {
+        let event = events
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the last reap is published");
+        if event.kind == EventKind::AppReap && event.app == Some(last_id) {
+            break;
+        }
+    }
+
+    let resident: Vec<String> = contexts
+        .iter()
+        .filter_map(Weak::upgrade)
+        .map(|ctx| format!("{}#{}", ctx.name(), ctx.app_id()))
+        .collect();
+    assert!(
+        resident.is_empty(),
+        "reaped applications still resident: {resident:?}"
+    );
+    // The last application's own reap publishes while it still holds the
+    // application, so only its group may still be listed.
+    let own_group = format!("app-{last_id}:");
+    let stale: Vec<String> = rt
+        .vm()
+        .main_group()
+        .children()
+        .iter()
+        .filter(|group| group.is_destroyed() && !group.name().starts_with(&own_group))
+        .map(|group| group.name().to_string())
+        .collect();
+    assert!(stale.is_empty(), "reaped groups still listed: {stale:?}");
     rt.shutdown();
 }
