@@ -53,12 +53,12 @@ pub use component::{ComponentKind, Listener, Window};
 pub use display::{ClientId, DisplayServer};
 pub use event::{ComponentId, Event, EventKind, WindowId};
 pub use queue::EventQueue;
-pub use toolkit::{AppTagResolver, DispatchMode, DispatchObserver, Toolkit};
+pub use toolkit::{DispatchMode, DispatchObserver, Toolkit};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmp_vm::{thread, Vm};
+    use jmp_vm::{thread, AppContext, Vm};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -68,6 +68,18 @@ mod tests {
         let display = DisplayServer::new();
         let toolkit = Toolkit::connect(vm.clone(), display.clone(), mode);
         (vm, display, toolkit)
+    }
+
+    /// Creates a window on a VM thread carrying application `app`'s
+    /// context, whose id the toolkit reads as the window's tag.
+    fn create_window_as(vm: &Vm, toolkit: &Toolkit, app: u64, title: &'static str) -> Window {
+        let ctx = AppContext::new(app, title, "alice", vm.main_group().id(), vm.obs().clone());
+        let ((created, window), toolkit) = (std::sync::mpsc::channel(), toolkit.clone());
+        vm.thread_builder()
+            .app_context(ctx)
+            .spawn(move |_| created.send(toolkit.create_window(title).unwrap()).unwrap())
+            .unwrap();
+        window.recv().unwrap()
     }
 
     #[test]
@@ -189,13 +201,8 @@ mod tests {
     #[test]
     fn per_app_mode_uses_distinct_dispatchers_and_queues() {
         let (vm, display, toolkit) = setup(DispatchMode::PerApplication);
-        let tag = Arc::new(AtomicUsize::new(1));
-        let tag2 = Arc::clone(&tag);
-        toolkit.set_tag_resolver(Arc::new(move || tag2.load(Ordering::SeqCst) as u64));
-
-        let w1 = toolkit.create_window("one").unwrap();
-        tag.store(2, Ordering::SeqCst);
-        let w2 = toolkit.create_window("two").unwrap();
+        let w1 = create_window_as(&vm, &toolkit, 1, "one");
+        let w2 = create_window_as(&vm, &toolkit, 2, "two");
         assert_eq!(w1.app_tag(), 1);
         assert_eq!(w2.app_tag(), 2);
 
@@ -219,8 +226,7 @@ mod tests {
     #[test]
     fn close_app_retires_windows_and_queue() {
         let (vm, display, toolkit) = setup(DispatchMode::PerApplication);
-        toolkit.set_tag_resolver(Arc::new(|| 5));
-        let window = toolkit.create_window("to-close").unwrap();
+        let window = create_window_as(&vm, &toolkit, 5, "to-close");
         assert_eq!(toolkit.window_count(), 1);
         assert_eq!(display.window_count(), 1);
         let queue = toolkit.queue_of(5).unwrap();

@@ -28,11 +28,6 @@ pub enum DispatchMode {
     PerApplication,
 }
 
-/// Resolves the *application tag* of the current thread — installed by the
-/// multi-processing layer (current thread → application id). The default
-/// resolver tags everything 0 (single-application VM).
-pub type AppTagResolver = Arc<dyn Fn() -> u64 + Send + Sync>;
-
 /// Observer invoked after each delivered event with the owning window's
 /// application tag and the queue-to-listener latency (the measurement behind
 /// experiment E2, and the feed for the per-application GUI metrics).
@@ -52,7 +47,6 @@ pub(crate) struct ToolkitInner {
     display: DisplayServer,
     client: ClientId,
     mode: DispatchMode,
-    tag_resolver: RwLock<AppTagResolver>,
     windows: RwLock<HashMap<WindowId, Arc<WindowInner>>>,
     queues: Mutex<HashMap<u64, EventQueue>>,
     dispatchers: Mutex<HashMap<u64, VmThread>>,
@@ -92,7 +86,6 @@ impl Toolkit {
                 display,
                 client,
                 mode,
-                tag_resolver: RwLock::new(Arc::new(|| 0)),
                 windows: RwLock::new(HashMap::new()),
                 queues: Mutex::new(HashMap::new()),
                 dispatchers: Mutex::new(HashMap::new()),
@@ -118,11 +111,6 @@ impl Toolkit {
         &self.inner.display
     }
 
-    /// Installs the application-tag resolver (multi-processing layer).
-    pub fn set_tag_resolver(&self, resolver: AppTagResolver) {
-        *self.inner.tag_resolver.write() = resolver;
-    }
-
     /// Replaces all dispatch-latency observers with `observer` (benches,
     /// which want exclusive readings).
     pub fn set_dispatch_observer(&self, observer: DispatchObserver) {
@@ -136,10 +124,6 @@ impl Toolkit {
     /// with bench observers.
     pub fn add_dispatch_observer(&self, observer: DispatchObserver) {
         self.inner.observers.write().push(observer);
-    }
-
-    fn current_tag(&self) -> u64 {
-        (self.inner.tag_resolver.read())()
     }
 
     fn queue_tag_for(&self, window_tag: u64) -> u64 {
@@ -161,7 +145,9 @@ impl Toolkit {
         self.inner
             .vm
             .check_permission(&Permission::awt("showWindow"))?;
-        let tag = self.current_tag();
+        // The window's tag is the id of the creating thread's application
+        // context, or 0 for a thread that belongs to no application.
+        let tag = jmp_vm::thread::current_app_context().map_or(0, |ctx| ctx.app_id());
         self.ensure_input_thread()?;
         self.ensure_dispatcher(self.queue_tag_for(tag))?;
         let id = self.inner.display.create_window(self.inner.client, title);
@@ -449,12 +435,11 @@ impl Toolkit {
             Some(ctx) => jmp_obs::trace::swap(Some(ctx)),
             None => jmp_obs::trace::current(),
         };
-        let span = self
-            .inner
-            .vm
-            .obs()
-            .recorder()
-            .begin(jmp_obs::SpanCategory::Dispatch, format!("dispatch:{event}"));
+        let span = self.inner.vm.obs().recorder().begin(
+            jmp_obs::SpanCategory::Dispatch,
+            format!("dispatch:{event}"),
+            jmp_vm::thread::current_app_context().map(|ctx| ctx.app_id()),
+        );
         match (&event.kind, event.component) {
             (EventKind::WindowClosing, _) => {
                 let listeners = window.closing_listeners.read().clone();

@@ -20,7 +20,7 @@ use jmp_security::{
     interned_domain_count, AccessContext, AccessController, CodeSource, FileActions, Permission,
     PermissionCollection, Policy, ProtectionDomain,
 };
-use jmp_vm::{stack, Vm};
+use jmp_vm::{stack, AppContext, Vm};
 
 use crate::harness::{
     median, per_call_minima, register_app, round_minima, standard_runtime, time_ns, ARM_ROUNDS,
@@ -190,8 +190,19 @@ fn reload_table() -> Table {
     after.grant_user("alice", vec![Permission::file("/b", FileActions::READ)]);
 
     let vm = Vm::builder().policy(before).build();
-    vm.set_user_resolver(Arc::new(|| Some(Arc::from("alice"))))
-        .expect("trusted harness installs the resolver");
+    // The checks run for alice: the access check reads the running user
+    // from the application context its thread carries.
+    let alice = AppContext::new(1, "Editor", "alice", vm.main_group().id(), vm.obs().clone());
+    let (rows, table) = std::sync::mpsc::channel();
+    vm.thread_builder()
+        .app_context(alice)
+        .spawn(move |vm| rows.send(reload_rows(&vm, after)).expect("E13c table"))
+        .expect("spawn the E13c thread");
+    table.recv().expect("E13c table")
+}
+
+/// The E13c steps, run on alice's application thread.
+fn reload_rows(vm: &Vm, after: Policy) -> Table {
     // One exercising domain: code-source grants stay fixed, user grants
     // track the live policy.
     let source = CodeSource::local("file:/apps/editor");
@@ -216,8 +227,8 @@ fn reload_table() -> Table {
             vm.access_check(&steady).expect("granted");
         }
     });
-    // The reload happens on the trusted (empty-stack) harness thread, like
-    // an administrator re-reading the policy file mid-workload.
+    // The reload happens outside the editor's frame, on a trusted (empty)
+    // stack, like an administrator re-reading the policy file mid-workload.
     let start = Instant::now();
     vm.set_policy(after).expect("trusted harness reloads");
     let reload_ns = start.elapsed().as_nanos() as f64;

@@ -148,7 +148,7 @@ pub fn e12_trace_overhead() -> Report {
         ARM_ROUNDS,
         SPAN_CALLS,
         [&mut || span(&off), &mut || span(&live), &mut || {
-            assert!(off.begin(SpanCategory::Exec, "span").is_none());
+            assert!(off.begin(SpanCategory::Exec, "span", None).is_none());
         }],
     );
     trace::clear();

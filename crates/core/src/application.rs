@@ -45,10 +45,9 @@ pub(crate) enum OwnedStream {
 }
 
 pub(crate) struct AppInner {
-    id: AppId,
-    name: String,
     /// The single ownership record shared with every layer that charges the
-    /// application for resources — threads, pipes, event queues, handles.
+    /// application for resources — threads, pipes, event queues, handles —
+    /// and the source of the application's id and name.
     context: Arc<AppContext>,
     group: ThreadGroup,
     loader: ClassLoader,
@@ -212,12 +211,12 @@ impl Application {
 
     /// The application id.
     pub fn id(&self) -> AppId {
-        self.inner.id
+        AppId(self.inner.context.app_id())
     }
 
     /// The main class name the application was started with.
     pub fn name(&self) -> &str {
-        &self.inner.name
+        self.inner.context.name()
     }
 
     /// The application's thread group (the set-of-threads identity, Fig 3).
@@ -454,11 +453,11 @@ impl Application {
             }
             rt.vm().obs().sink().publish(
                 EventKind::AppExit,
-                Some(self.inner.id.0),
+                Some(self.id().0),
                 Some(self.user().name().to_string()),
                 code.to_string(),
             );
-            let id = self.inner.id;
+            let id = self.id();
             drop(self);
             rt.inner.reap_queue.send(id);
         }
@@ -474,8 +473,8 @@ impl Application {
 impl fmt::Debug for Application {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Application")
-            .field("id", &self.inner.id)
-            .field("name", &self.inner.name)
+            .field("id", &self.id())
+            .field("name", &self.name())
             .field("user", &self.user().name().to_string())
             .field("status", &self.status())
             .field("threads", &self.inner.group.thread_count())
@@ -485,7 +484,7 @@ impl fmt::Debug for Application {
 
 impl fmt::Display for Application {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}#{}", self.inner.name, self.inner.id.0)
+        write!(f, "{}#{}", self.name(), self.id().0)
     }
 }
 
@@ -552,8 +551,6 @@ pub(crate) fn spawn_app(rt: &MpRuntime, spec: ExecSpec) -> Result<Application> {
 
             let app = Application {
                 inner: Arc::new(AppInner {
-                    id,
-                    name: spec.class_name.clone(),
                     context: Arc::clone(&context),
                     group: group.clone(),
                     loader: loader.clone(),
@@ -569,7 +566,6 @@ pub(crate) fn spawn_app(rt: &MpRuntime, spec: ExecSpec) -> Result<Application> {
                     rt: Arc::downgrade(inner_rt),
                 }),
             };
-            inner_rt.apps_by_group.insert(group.id(), id);
             inner_rt.apps_by_id.insert(id, app.clone());
 
             // Observability: the application's metrics registry exists from
@@ -609,6 +605,7 @@ pub(crate) fn spawn_app(rt: &MpRuntime, spec: ExecSpec) -> Result<Application> {
             let exec_span = hub.recorder().begin(
                 jmp_obs::SpanCategory::Exec,
                 format!("exec:{class_name}#{}", id.0),
+                jmp_vm::thread::current_app_context().map(|ctx| ctx.app_id()),
             );
             let spawned = inner_rt
                 .vm
@@ -641,8 +638,7 @@ pub(crate) fn spawn_app(rt: &MpRuntime, spec: ExecSpec) -> Result<Application> {
                 });
             drop(exec_span);
             if let Err(err) = spawned {
-                // Roll the half-born application back out of the registries.
-                inner_rt.apps_by_group.remove(&group.id());
+                // Roll the half-born application back out of the registry.
                 inner_rt.apps_by_id.remove(&id);
                 group.destroy();
                 return Err(err.into());
@@ -709,7 +705,6 @@ pub(crate) fn reap(rt: &MpRuntime, id: AppId) {
 
     // 5. Deregister, then finalize: whoever observes `Finished` (a
     //    checkpoint about to restore under the same id) finds the id free.
-    rt.inner.apps_by_group.remove(&app.inner.group.id());
     rt.inner.apps_by_id.remove(&id);
     let code = app.inner.pending_code.load(Ordering::SeqCst);
     {

@@ -1,10 +1,9 @@
 //! Application-facing GUI helpers.
 //!
-//! The toolkit wiring is done at runtime bootstrap: the tag resolver maps
-//! the current thread to its application id, so a window created here is
-//! recorded as belonging to the creating application (paper §5.4), its
-//! events land on that application's queue, and application teardown closes
-//! it (§5.1).
+//! The toolkit tags a window with the id of the creating thread's
+//! [`AppContext`](jmp_vm::AppContext), so a window created here is recorded
+//! as belonging to the creating application (paper §5.4), its events land
+//! on that application's queue, and application teardown closes it (§5.1).
 
 use jmp_awt::{Toolkit, Window};
 

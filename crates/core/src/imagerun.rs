@@ -143,7 +143,9 @@ pub(crate) fn image_main(image: ClassImage) -> Result<Arc<ClassDef>> {
 ///
 /// # Errors
 ///
-/// [`VmError::Verification`] if the embedded image is rejected.
+/// [`VmError::Verification`] if the embedded image is rejected;
+/// [`VmError::Trap`] if the continuation fails
+/// [`InterpSnapshot::validate`].
 pub(crate) fn resume_image_main(
     snap: InterpSnapshot,
     limits: Vec<(jmp_vm::ResourceKind, u64)>,
@@ -151,6 +153,7 @@ pub(crate) fn resume_image_main(
     let name = snap.image.name.clone();
     let probe = ClassDef::builder(&name).image(snap.image.clone()).build();
     let compiled = probe.compiled().expect("material carries an image")?;
+    snap.validate(&compiled)?;
     let image = snap.image.clone();
     Ok(ClassDef::builder(&name)
         .image(image)

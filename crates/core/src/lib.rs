@@ -15,8 +15,9 @@
 //!   [`User`](jmp_security::User) inherited at exec; [`login::login`]
 //!   re-binds it with the `setUser` privilege granted to the login
 //!   *program's code source*.
-//! * **F5 — user-based access control**: the bootstrap installs a user
-//!   resolver so the access controller combines code-source grants with
+//! * **F5 — user-based access control**: every application thread carries
+//!   its [`AppContext`](jmp_vm::AppContext), whose running user the access
+//!   controller combines with code-source grants through
 //!   `grant user "alice" { ... }` policy blocks (§5.3).
 //! * **F6/F7 — multi-application-aware system code & events**: system helper
 //!   threads live in the system group; with a GUI attached, each

@@ -7,7 +7,7 @@ use jmp_security::{Permission, Policy, ProtectionDomain, ShardedMap, User, UserR
 use jmp_vfs::{Mode, Vfs};
 use jmp_vm::io::{InStream, IoToken, MemSink, OutStream};
 use jmp_vm::thread::BLOCK_POLL;
-use jmp_vm::{AppContext, ClassDef, GroupId, ResourceKind, Vm};
+use jmp_vm::{AppContext, ClassDef, ResourceKind, Vm};
 use parking_lot::{Condvar, Mutex};
 
 use crate::application::{AppId, Application};
@@ -96,12 +96,6 @@ pub(crate) struct RtInner {
     pub(crate) vfs: Arc<Vfs>,
     pub(crate) users: Arc<UserRegistry>,
     pub(crate) sys_domain: Arc<ProtectionDomain>,
-    /// `GroupId → AppId` view onto [`RtInner::apps_by_id`], one entry per
-    /// application root group — kept only for the group-walk fallback
-    /// ([`MpRuntime::app_of_group`]); the primary record is the id map.
-    /// Sharded so registration, lookup and the group walk never queue on a
-    /// whole-registry lock.
-    pub(crate) apps_by_group: ShardedMap<GroupId, AppId>,
     /// The application registry, sharded by id hash: spawns and reaps on
     /// different shards proceed concurrently, and `ps`-style sweeps
     /// ([`MpRuntime::applications`]) read shard by shard without ever
@@ -139,9 +133,10 @@ impl Drop for RtInner {
 /// display + toolkit, and the table of running [`Application`]s. Building it
 /// performs the bootstrap the paper describes: registering the re-loadable
 /// `System` class material, installing the system security manager (§5.6),
-/// installing the user resolver that feeds user-based access control (§5.3),
 /// and starting the background reaper that cleans up exiting applications
-/// (§5.1).
+/// (§5.1). User-based access control (§5.3) needs no hook: every
+/// application thread carries its [`AppContext`], and the VM reads the
+/// running user from it.
 ///
 /// Cheap handle; clones refer to the same runtime.
 #[derive(Clone)]
@@ -291,7 +286,6 @@ impl MpRuntimeBuilder {
             vfs,
             users,
             sys_domain: Arc::new(ProtectionDomain::system()),
-            apps_by_group: ShardedMap::default(),
             apps_by_id: ShardedMap::default(),
             default_limits: self.limits,
             next_app_id: AtomicU64::new(1),
@@ -314,23 +308,8 @@ impl MpRuntimeBuilder {
             EXTENSION_KEY,
             Arc::clone(&inner) as Arc<dyn std::any::Any + Send + Sync>,
         )?;
-        // Identity is read straight off the thread's AppContext — installed
-        // at spawn and inherited by every thread the application creates —
-        // with no runtime handle, no thread→group→app walk, and no copy:
-        // the user is a shared `Arc<str>` that `setUser` swaps whole.
-        vm.set_user_resolver(Arc::new(|| {
-            jmp_vm::thread::current_app_context().map(|ctx| ctx.user())
-        }))?;
         vm.set_security_manager(Arc::new(SystemSecurityManager::new()))?;
-        // Observability: events and metrics are charged to the application
-        // whose context the current thread carries.
-        vm.obs().set_app_resolver(Arc::new(|| {
-            jmp_vm::thread::current_app_context().map(|ctx| ctx.app_id())
-        }));
         if let Some(toolkit) = &rt.inner.toolkit {
-            toolkit.set_tag_resolver(Arc::new(|| {
-                jmp_vm::thread::current_app_context().map_or(0, |ctx| ctx.app_id())
-            }));
             // Feed GUI dispatch counts and latencies into the hub, VM-wide
             // and per application (§5.4's per-application queues make the
             // per-app numbers meaningful).
@@ -511,34 +490,14 @@ impl MpRuntime {
         crate::application::spawn_app(self, spec)
     }
 
-    /// Resolves the application the current thread belongs to — normally a
-    /// direct read of the [`AppContext`] the thread has carried since spawn,
-    /// falling back to the thread-group walk (the paper's "threads give us a
-    /// convenient way to distinguish two instances of the same program",
-    /// §5.1, Fig 3) for threads placed in an application's group without a
-    /// context.
+    /// The application the current thread belongs to: the one whose
+    /// [`AppContext`] the thread has carried since spawn. A thread with no
+    /// context — a system helper, or one spawned
+    /// [`detached`](jmp_vm::ThreadBuilder::detached) — belongs to none,
+    /// whatever thread group it sits in.
     pub fn app_of_current_thread(&self) -> Option<Application> {
-        if let Some(ctx) = jmp_vm::thread::current_app_context() {
-            return self.application(AppId(ctx.app_id()));
-        }
-        let thread = jmp_vm::thread::current()?;
-        self.app_of_group(thread.group())
-    }
-
-    /// Resolves the application owning `group`, if any, by walking the group
-    /// tree upward to an application root.
-    pub fn app_of_group(&self, group: &jmp_vm::ThreadGroup) -> Option<Application> {
-        // Each step is one sharded point lookup — the walk never pins the
-        // whole group index, so registrations on other shards proceed.
-        let mut cursor = Some(group.clone());
-        let id = loop {
-            let Some(g) = cursor else { break None };
-            if let Some(id) = self.inner.apps_by_group.get(&g.id()) {
-                break Some(id);
-            }
-            cursor = g.parent().cloned();
-        };
-        self.application(id?)
+        let ctx = jmp_vm::thread::current_app_context()?;
+        self.application(AppId(ctx.app_id()))
     }
 
     /// Applies the runtime's default quotas, then the per-user

@@ -267,12 +267,22 @@ impl MpRuntime {
     ///
     /// [`Error::Io`] on a malformed or version-mismatched image;
     /// [`Error::Security`] without the permission or for an unknown user;
-    /// [`Error::Vm`] if the embedded image fails verification here.
+    /// [`Error::Vm`] if the embedded image fails verification here or the
+    /// continuation fails [`InterpSnapshot::validate`]. A refused snapshot
+    /// leaves the vfs, the ledgers and `apps.restored` untouched.
     pub fn restore_app(&self, bytes: &[u8]) -> Result<Application> {
         self.vm()
             .check_permission(&Permission::runtime("checkpointApplication"))?;
         let snap = AppSnapshot::from_bytes(bytes)?;
         let user = self.users().lookup(&snap.user)?;
+        let limits: Vec<(ResourceKind, u64)> = snap
+            .limits
+            .iter()
+            .filter_map(|(name, limit)| ResourceKind::parse(name).map(|kind| (kind, *limit)))
+            .collect();
+        // Verify the image and validate the continuation before anything
+        // lands: a refused snapshot writes no file and spawns nothing.
+        let def = crate::imagerun::resume_image_main(snap.interp, limits)?;
         let system = self.system_user().id();
         for file in &snap.files {
             let dir = jmp_vfs::dirname(&file.path);
@@ -282,14 +292,7 @@ impl MpRuntime {
             self.vfs().write(&file.path, &file.data, system)?;
             self.vfs().chown(&file.path, user.id(), system)?;
         }
-        let limits: Vec<(ResourceKind, u64)> = snap
-            .limits
-            .iter()
-            .filter_map(|(name, limit)| ResourceKind::parse(name).map(|kind| (kind, *limit)))
-            .collect();
-        let name = snap.name.clone();
-        let app_id = snap.app_id;
-        let def = crate::imagerun::resume_image_main(snap.interp, limits)?;
+        let (name, app_id) = (snap.name, snap.app_id);
         self.vm()
             .material()
             .register_replacing(def, CodeSource::local("file:/apps/images"));
@@ -428,6 +431,38 @@ mod tests {
             "the home subtree migrates"
         );
         rt2.shutdown();
+    }
+
+    #[test]
+    fn a_tampered_continuation_is_refused_before_anything_lands() {
+        let rt = MpRuntime::builder().user("alice", "pw").build().unwrap();
+        let metrics = Arc::clone(rt.vm().obs().vm_metrics());
+        let charged = metrics.counter("memory.charged").get();
+        // `main` parked at `push_int 1` over its two-slot frame.
+        let mut good = snap();
+        good.interp.arena.push(jmp_vm::interp::Value::Null);
+        let mut bad = good.clone();
+        bad.interp.sp = u32::MAX;
+        let err = rt.restore_app(&bad.to_bytes().unwrap()).unwrap_err();
+        assert!(
+            matches!(err, Error::Vm(jmp_vm::VmError::Trap { .. })),
+            "{err:?}"
+        );
+        let system = rt.system_user().id();
+        assert!(!rt.vfs().exists("/home/alice/notes.txt", system));
+        assert!(rt.applications().is_empty());
+        for (counter, before) in [
+            ("apps.restored", 0),
+            ("apps.execed", 0),
+            ("memory.charged", charged),
+        ] {
+            assert_eq!(metrics.counter(counter).get(), before, "{counter}");
+        }
+        // Untampered, the same snapshot restores.
+        let app = rt.restore_app(&good.to_bytes().unwrap()).unwrap();
+        assert_eq!(app.wait_for().unwrap(), 0);
+        assert!(rt.vfs().exists("/home/alice/notes.txt", system));
+        rt.shutdown();
     }
 
     #[test]

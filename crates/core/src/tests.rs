@@ -747,6 +747,42 @@ fn app_context_carries_identity_and_defaults() {
 }
 
 #[test]
+fn a_detached_thread_belongs_to_no_application() {
+    // Identity is the context a thread carries, not the group it sits in:
+    // a `detached()` helper stays in its spawner's group, yet it is no
+    // application's and bills no ledger.
+    let rt = runtime();
+    static SEEN: std::sync::Mutex<Option<(bool, bool, u64)>> = std::sync::Mutex::new(None);
+    register(&rt, "Detacher", "file:/apps/detacher", |_| {
+        let app = Application::current().expect("main belongs to its application");
+        let (group, (report, reported)) = (app.group().clone(), std::sync::mpsc::channel());
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let vm = jmp_vm::Vm::current().unwrap();
+        vm.thread_builder().detached().spawn(move |_| {
+            let in_group = jmp_vm::thread::current()
+                .unwrap()
+                .group()
+                .same_group(&group);
+            let _ = report.send((in_group, Application::current().is_none()));
+            let _ = released.recv(); // alive until main has read the ledger
+        })?;
+        let (in_group, no_app) = reported.recv().expect("the helper reports");
+        let threads = app.context().ledger().get(jmp_vm::ResourceKind::Threads);
+        *SEEN.lock().unwrap() = Some((in_group, no_app, threads));
+        drop(release);
+        Ok(())
+    });
+    assert_eq!(rt.launch("Detacher", &[]).unwrap().wait_for().unwrap(), 0);
+    let seen = SEEN.lock().unwrap().take();
+    assert_eq!(
+        seen,
+        Some((true, true, 1)),
+        "(in its group, no app, threads charged)"
+    );
+    rt.shutdown();
+}
+
+#[test]
 fn policy_limit_grants_override_defaults() {
     let policy = format!(
         "{TEST_POLICY}\n{}",

@@ -1,10 +1,10 @@
 //! [`ObsHub`]: the single observability object the VM owns.
 //!
-//! The hub composes the three substrate pieces — event sink, metrics
-//! registries, audit log — and adds the attribution glue: a pluggable
-//! [`AppResolver`] that maps *the current thread* to its owning application,
-//! so instrumentation points deep in the VM can charge work to the right
-//! per-application registry without knowing anything about the runtime's
+//! The hub composes the substrate pieces — event sink, metrics registries,
+//! audit log, flight recorder, profiler, watchdogs — behind one handle.
+//! It is told which application a record belongs to and never asks: the
+//! VM reads the id off the calling thread's application context and
+//! passes it in, so the hub knows nothing about threads or the runtime's
 //! application table.
 
 use std::collections::BTreeMap;
@@ -21,10 +21,6 @@ use crate::profile::{self, Profiler};
 use crate::recorder::{self, FlightRecorder};
 use crate::sink::{self, EventKind, EventSink};
 use crate::watchdog::WatchdogRegistry;
-
-/// Maps the calling thread to the application it belongs to, if any.
-/// Installed by the runtime layer (which owns the thread→application table).
-pub type AppResolver = Arc<dyn Fn() -> Option<u64> + Send + Sync>;
 
 /// The hub's shared monotonic clock. Every timestamped substrate piece —
 /// event sink, audit log, flight recorder, watchdogs — is stamped against
@@ -126,7 +122,6 @@ struct HubInner {
     // (the control-plane scale-out mirror of the runtime's sharded app
     // registry).
     apps: [RwLock<AppShard>; APP_SHARDS],
-    resolver: RwLock<Option<AppResolver>>,
     // The security chokepoint runs on every permission check; its VM-wide
     // instruments are resolved once here so the hot path never touches the
     // registry's name map.
@@ -137,7 +132,7 @@ struct HubInner {
     // Decision-cache accounting for the access-check fast path: hits serve
     // from the VM-wide cache, misses fall through to the full walk, bypasses
     // never consult the cache (empty stack or a denial re-derivation), and
-    // invalidations count epoch bumps (policy/security-manager/user-resolver
+    // invalidations count epoch bumps (policy and security-manager
     // changes).
     cache_hits: Arc<Counter>,
     cache_misses: Arc<Counter>,
@@ -208,7 +203,6 @@ impl ObsHub {
                         retired: RegistrySnapshot::empty("retired"),
                     })
                 }),
-                resolver: RwLock::new(None),
             }),
         }
     }
@@ -260,21 +254,6 @@ impl ObsHub {
     /// The VM-wide registry (metrics not attributable to one application).
     pub fn vm_metrics(&self) -> &Arc<MetricsRegistry> {
         &self.inner.vm
-    }
-
-    /// Installs the thread→application resolver. The runtime layer calls
-    /// this once during bootstrap; until then attribution yields `None`.
-    /// The flight recorder shares the resolver so scoped spans carry the
-    /// same attribution as metrics and audit records.
-    pub fn set_app_resolver(&self, resolver: AppResolver) {
-        self.inner.recorder.set_app_resolver(Arc::clone(&resolver));
-        *self.inner.resolver.write() = Some(resolver);
-    }
-
-    /// The application owning the calling thread, per the installed resolver.
-    pub fn current_app(&self) -> Option<u64> {
-        let resolver = self.inner.resolver.read().clone();
-        resolver.and_then(|r| r())
     }
 
     /// The shard holding application `id`'s registry.
@@ -344,8 +323,8 @@ impl ObsHub {
     /// bypass ([`CacheOutcome::Bypass`]). It bumps `security.checks` and
     /// the `access.cache.*` counter VM-wide, and `app_checks` — the calling
     /// application's `security.checks`, a handle the caller cached when its
-    /// application context was built. It calls no resolver, looks nothing
-    /// up by name, and leaves no span: a warm hit explains nothing a trace
+    /// application context was built. It looks nothing up by name and
+    /// leaves no span: a warm hit explains nothing a trace
     /// needs. `sample` carries `(latency_ns, depth)` for the checks whose
     /// clock the caller read (one in 64 per thread); only those feed
     /// `security.check_ns` and `security.check_depth`.
@@ -375,31 +354,32 @@ impl ObsHub {
     }
 
     /// The chokepoint's record of a check that walked the stack: a miss
-    /// or a denial. Counts and times it VM-wide and against the calling
-    /// application, and leaves a `check` span inside a traced request.
-    /// `denied_context` is `None` for a granted check; a denial passes the
-    /// refusing-domain message, which additionally lands in the audit log
-    /// (with the flight recorder's incident record) and the event stream.
+    /// or a denial. Counts and times it VM-wide and against `app`, the
+    /// calling application, and leaves a `check` span inside a traced
+    /// request.
+    /// `denial` is `None` for a granted check; a denial passes the
+    /// permission and the refusing-domain message, which additionally land
+    /// in the audit log (with the flight recorder's incident record) and
+    /// the event stream.
     /// `cache` says how the decision cache participated — it feeds the
     /// `access.cache.*` counters and suffixes the span name so traces show
     /// which checks ran the slow path.
     pub fn record_access_check(
         &self,
-        permission: &str,
-        denied_context: Option<&str>,
+        denial: Option<(&str, &str)>,
         depth: usize,
+        app: Option<u64>,
         user: Option<&str>,
         latency_ns: u64,
         cache: CacheOutcome,
     ) {
-        let app = self.current_app();
         self.inner.checks.inc();
         self.inner.check_ns.record(latency_ns);
         self.inner.check_depth.record(depth as u64);
         self.cache_counter(cache).inc();
         if let Some(registry) = app.and_then(|id| self.existing_app_registry(id)) {
             registry.counter("security.checks").inc();
-            if denied_context.is_some() {
+            if denial.is_some() {
                 registry.counter("security.denied").inc();
             }
         }
@@ -412,7 +392,7 @@ impl ObsHub {
             app,
             latency_ns,
         );
-        if let Some(context) = denied_context {
+        if let Some((permission, context)) = denial {
             self.inner.denied.inc();
             // A denial is an incident: the audit record carries the flight
             // recorder's incident record, the causal history that led here.
@@ -432,9 +412,8 @@ impl ObsHub {
         }
     }
 
-    /// Records one decision-cache invalidation (an epoch bump: `set_policy`,
-    /// `set_security_manager`, or a user-resolver change killed every cached
-    /// decision at once).
+    /// Records one decision-cache invalidation (an epoch bump: `set_policy`
+    /// or `set_security_manager` killed every cached decision at once).
     pub fn record_access_cache_invalidation(&self) {
         self.inner.cache_invalidations.inc();
     }
@@ -625,19 +604,11 @@ mod tests {
     fn access_check_attributes_to_current_app() {
         let hub = ObsHub::new();
         hub.app_registry(3, "ps");
-        hub.set_app_resolver(Arc::new(|| Some(3)));
+        hub.record_access_check(None, 4, Some(3), Some("alice"), 250, CacheOutcome::Hit);
         hub.record_access_check(
-            "(file /etc/passwd read)",
-            None,
-            4,
-            Some("alice"),
-            250,
-            CacheOutcome::Hit,
-        );
-        hub.record_access_check(
-            "(file /home/alice/notes read)",
-            Some("file:/apps/cat"),
+            Some(("(file /home/alice/notes read)", "file:/apps/cat")),
             6,
+            Some(3),
             Some("bob"),
             900,
             CacheOutcome::Bypass,
@@ -666,14 +637,8 @@ mod tests {
         let app_checks = hub.app_registry(3, "ps").counter("security.checks");
         let exec = hub
             .recorder()
-            .begin(crate::SpanCategory::Exec, "exec:ps")
+            .begin(crate::SpanCategory::Exec, "exec:ps", None)
             .unwrap();
-        let resolved = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let calls = Arc::clone(&resolved);
-        hub.set_app_resolver(Arc::new(move || {
-            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Some(3)
-        }));
         let recorded = hub.recorder().recorded();
         for hit in 0..HITS {
             let sample = (hit % 64 == 0).then_some((250, 4));
@@ -686,11 +651,6 @@ mod tests {
         assert_eq!(app.counter("security.checks").get(), HITS);
         assert_eq!(hub.recorder().recorded(), recorded, "hits leave no span");
         assert!(hub.recorder().spans().is_empty());
-        assert_eq!(
-            resolved.load(std::sync::atomic::Ordering::Relaxed),
-            0,
-            "no resolver call"
-        );
         assert_eq!(vm.histogram("security.check_ns").count(), HITS.div_ceil(64));
         assert_eq!(
             vm.histogram("security.check_depth").count(),
@@ -717,12 +677,11 @@ mod tests {
         // the rollup must report the VM total, not the sum of both.
         let hub = ObsHub::new();
         hub.app_registry(1, "cat");
-        hub.set_app_resolver(Arc::new(|| Some(1)));
-        hub.record_access_check("", None, 2, None, 100, CacheOutcome::Miss);
+        hub.record_access_check(None, 2, Some(1), None, 100, CacheOutcome::Miss);
         hub.record_access_check(
-            "(runtime x)",
-            Some("ctx"),
+            Some(("(runtime x)", "ctx")),
             2,
+            Some(1),
             Some("bob"),
             100,
             CacheOutcome::Bypass,
@@ -804,13 +763,13 @@ mod tests {
         let hub = ObsHub::new();
         let span = hub
             .recorder()
-            .begin(crate::SpanCategory::Exec, "exec:snoop")
+            .begin(crate::SpanCategory::Exec, "exec:snoop", None)
             .unwrap();
         let trace_id = span.trace_id();
         hub.record_access_check(
-            "(file /home/alice/x read)",
-            Some("file:/apps/snoop"),
+            Some(("(file /home/alice/x read)", "file:/apps/snoop")),
             5,
+            None,
             Some("bob"),
             700,
             CacheOutcome::Bypass,
@@ -870,7 +829,9 @@ mod tests {
         let hub = ObsHub::new();
         crate::trace::clear();
         {
-            let _span = hub.recorder().begin(crate::SpanCategory::Exec, "exec:sh");
+            let _span = hub
+                .recorder()
+                .begin(crate::SpanCategory::Exec, "exec:sh", None);
         }
         crate::trace::clear();
         let loc = hub.profiler().register_thread(Some(2));

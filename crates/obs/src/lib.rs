@@ -55,7 +55,7 @@ mod watchdog;
 
 pub use audit::{AuditLog, AuditRecord};
 pub use demand::{DemandCell, DemandLedger, DemandRow};
-pub use hub::{AppResolver, CacheOutcome, HubSnapshot, ObsClock, ObsHub};
+pub use hub::{CacheOutcome, HubSnapshot, ObsClock, ObsHub};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,
 };

@@ -25,10 +25,10 @@ use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::hub::{AppResolver, ObsClock};
+use crate::hub::ObsClock;
 use crate::trace::{self, TraceCtx};
 
 /// Default number of completed spans retained.
@@ -105,7 +105,6 @@ struct RecorderInner {
     recorded: AtomicU64,
     dropped: AtomicU64,
     spans: Mutex<Spans>,
-    resolver: RwLock<Option<AppResolver>>,
 }
 
 /// The completed ring and the open spans under ONE lock, so closing a span
@@ -200,7 +199,6 @@ impl FlightRecorder {
                 recorded: AtomicU64::new(0),
                 dropped: AtomicU64::new(0),
                 spans: Mutex::new(Spans::default()),
-                resolver: RwLock::new(None),
             }),
         }
     }
@@ -237,25 +235,21 @@ impl FlightRecorder {
         self.inner.dropped.load(Ordering::Relaxed)
     }
 
-    /// Installs the thread→application resolver used to attribute scoped
-    /// spans (shared with the hub's resolver).
-    pub fn set_app_resolver(&self, resolver: AppResolver) {
-        *self.inner.resolver.write() = Some(resolver);
-    }
-
-    fn resolve_app(&self) -> Option<u64> {
-        let resolver = self.inner.resolver.read().clone();
-        resolver.and_then(|r| r())
-    }
-
     /// Opens a scoped span. Returns `None` when recording is off. While the
     /// guard lives, the calling thread's [`TraceCtx`] points at the new
     /// span, so children (spawned threads, posted events, nested checks)
     /// attach under it; dropping the guard records the completed span and
     /// restores the previous context. A thread with no current context
     /// roots a fresh trace — this is how a shell command or an `exec` from
-    /// an untraced caller starts one.
-    pub fn begin(&self, category: SpanCategory, name: impl Into<String>) -> Option<SpanGuard> {
+    /// an untraced caller starts one. `app` is the application charged
+    /// with the span's work — the caller's own, read off the context its
+    /// thread carries.
+    pub fn begin(
+        &self,
+        category: SpanCategory,
+        name: impl Into<String>,
+        app: Option<u64>,
+    ) -> Option<SpanGuard> {
         if !self.inner.enabled.load(Ordering::Relaxed) {
             return None;
         }
@@ -270,7 +264,6 @@ impl FlightRecorder {
             parent_span: id,
         }));
         let name = name.into();
-        let app = self.resolve_app();
         let start_us = self.inner.clock.now_us();
         self.inner.spans.lock().open.insert(
             id,
@@ -547,7 +540,7 @@ mod tests {
             parent_span: 0,
         }));
         recorder.record_latency(SpanCategory::Check, "access-check", None, 500);
-        assert!(recorder.begin(SpanCategory::Exec, "exec:x").is_none());
+        assert!(recorder.begin(SpanCategory::Exec, "exec:x", None).is_none());
         assert_eq!(recorder.recorded(), 0);
         assert!(recorder.spans().is_empty());
         trace::clear();
@@ -557,7 +550,7 @@ mod tests {
     fn begin_nests_children_and_restores_context() {
         let recorder = FlightRecorder::new(16);
         trace::clear();
-        let outer = recorder.begin(SpanCategory::Exec, "exec:sh").unwrap();
+        let outer = recorder.begin(SpanCategory::Exec, "exec:sh", None).unwrap();
         let trace_id = outer.trace_id();
         let outer_span = outer.span_id();
         assert_eq!(
@@ -568,7 +561,7 @@ mod tests {
             })
         );
         let inner = recorder
-            .begin(SpanCategory::Dispatch, "dispatch:w1")
+            .begin(SpanCategory::Dispatch, "dispatch:w1", None)
             .unwrap();
         assert_eq!(inner.trace_id(), trace_id, "children share the trace");
         drop(inner);
@@ -612,7 +605,7 @@ mod tests {
         let recorder = FlightRecorder::new(16);
         trace::clear();
         {
-            let _exec = recorder.begin(SpanCategory::Exec, "exec:sh");
+            let _exec = recorder.begin(SpanCategory::Exec, "exec:sh", None);
             let ctx = trace::current().unwrap();
             recorder.record_with_ctx(SpanCategory::Pipe, "pipe.read", ctx, Some(2), 2_000);
             recorder.record_latency(SpanCategory::Dispatch, "dispatch:w", Some(2), 1_000);
@@ -639,7 +632,9 @@ mod tests {
     fn dump_includes_open_spans_exactly_once() {
         let recorder = FlightRecorder::new(16);
         trace::clear();
-        let exec = recorder.begin(SpanCategory::Exec, "exec:app").unwrap();
+        let exec = recorder
+            .begin(SpanCategory::Exec, "exec:app", None)
+            .unwrap();
         recorder.record_latency(SpanCategory::Check, "access-check:bypass", None, 1_000);
         // The incident dump sees the still-open exec span...
         let dump = recorder.dump();
@@ -676,7 +671,7 @@ mod tests {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 for i in 0..ROUNDS {
-                    let span = recorder.begin(SpanCategory::Exec, format!("exec:{i}"));
+                    let span = recorder.begin(SpanCategory::Exec, format!("exec:{i}"), None);
                     let span = span.expect("recording is on");
                     tx.send(TraceCtx {
                         trace_id: span.trace_id(),
@@ -711,8 +706,10 @@ mod tests {
     fn incident_record_is_the_ancestor_chain_then_the_newest_trace_spans() {
         let recorder = FlightRecorder::new(DEFAULT_CAPACITY);
         trace::clear();
-        let command = recorder.begin(SpanCategory::Command, "cmd").unwrap();
-        let exec = recorder.begin(SpanCategory::Exec, "exec:app").unwrap();
+        let command = recorder.begin(SpanCategory::Command, "cmd", None).unwrap();
+        let exec = recorder
+            .begin(SpanCategory::Exec, "exec:app", None)
+            .unwrap();
         let app_ctx = trace::current().unwrap();
         drop(exec);
         // A foreign trace and 500 spans of this one push the closed exec

@@ -112,10 +112,11 @@ impl Shell {
         // checks, pipe traffic, and AWT dispatches launched below all hang
         // off this span (or its children) in the flight record.
         let span = MpRuntime::current().and_then(|rt| {
-            rt.vm()
-                .obs()
-                .recorder()
-                .begin(jmp_obs::SpanCategory::Command, format!("sh:{line}"))
+            rt.vm().obs().recorder().begin(
+                jmp_obs::SpanCategory::Command,
+                format!("sh:{line}"),
+                jmp_vm::thread::current_app_context().map(|ctx| ctx.app_id()),
+            )
         });
         let outcome = self.run_pipeline(command, line);
         drop(span);

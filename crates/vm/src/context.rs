@@ -6,8 +6,9 @@
 //! this module, the answer was derived five different ways (thread→group
 //! walks, two runtime hash maps, observability resolvers, queue tags, user
 //! lookups). [`AppContext`] is the single ownership record: every VM thread
-//! carries an `Arc<AppContext>` set at spawn, and every allocation path
-//! charges the context's [`ResourceLedger`].
+//! carries an `Arc<AppContext>` set at spawn, every layer that asks which
+//! application and which user it serves reads it, and every allocation
+//! path charges the context's [`ResourceLedger`].
 //!
 //! On top of the unified ledger sit **quotas**: a [`ResourceLimits`] table
 //! (per-resource ceilings, `u64::MAX` = unlimited) checked at charge time.

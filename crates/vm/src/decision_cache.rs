@@ -9,8 +9,8 @@
 //! exact refusing-domain audit message (the audit-exactness invariant).
 //!
 //! Invalidation is the [`EpochCache`] protocol: anything that can change a
-//! decision — `set_policy`, `set_security_manager`, a user-resolver change
-//! — bumps the epoch, which kills every stale entry at once without a
+//! decision for an unchanged key — `set_policy`, `set_security_manager` —
+//! bumps the epoch, which kills every stale entry at once without a
 //! sweep, and entries are *inserted* with the epoch captured **before** the
 //! policy walk began, so a reload that races a concurrent walk invalidates
 //! the in-flight result too.
@@ -188,8 +188,8 @@ impl DecisionCache {
 /// costs one fingerprint compare instead of a sharded map probe.
 ///
 /// Invalidation is inherited from the shared cache: the stored epoch is the
-/// [`DecisionCache::epoch`] the grant was derived under, so any policy /
-/// security-manager / user-resolver change that bumps the epoch silently
+/// [`DecisionCache::epoch`] the grant was derived under, so any policy or
+/// security-manager change that bumps the epoch silently
 /// kills every site cache at once. Denials are never stored (the
 /// audit-exactness invariant), and `try_lock` is used on both paths so a
 /// contended site degrades to the shared cache instead of blocking.

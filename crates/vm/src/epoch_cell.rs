@@ -1,7 +1,7 @@
 //! Epoch-published roots for the VM's security configuration.
 //!
-//! The policy, security manager, and user resolver used to live behind
-//! single `RwLock`s that every access check read-locked and every reload
+//! The policy and the security manager used to live behind single
+//! `RwLock`s that every access check read-locked and every reload
 //! write-locked. Under an exec storm the root becomes the hottest lock in
 //! the VM, and with a fair rwlock one queued writer stalls every subsequent
 //! reader behind it (writer-starvation turned reader-starvation). The
@@ -20,10 +20,12 @@
 //!
 //! During publication a reader may still observe the *previous* value from
 //! a not-yet-rewritten stripe. That window is sound for the security roots
-//! because of the PR-3 decision-cache discipline: `access_check` captures
-//! the cache epoch **before** consulting the resolver or policy, and every
-//! `set_policy`/`set_security_manager`/`set_user_resolver` bumps the epoch
-//! only **after** its `store` completes. A walk that read the old value
+//! because of the decision-cache discipline: `access_check` captures the
+//! cache epoch **before** consulting the policy, and every
+//! `set_policy`/`set_security_manager` bumps the epoch only **after** its
+//! `store` completes. (The running user is not a root: `access_check`
+//! reads it from the calling thread's `AppContext`, and it keys every
+//! cached decision, so a `setUser` needs no epoch.) A walk that read the old value
 //! therefore captured a pre-bump epoch, and its cache insert can never
 //! serve a post-reload lookup.
 

@@ -157,7 +157,13 @@ pub(crate) struct CompiledMethod {
     pub frame_size: u32,
     /// The pre-decoded code.
     pub code: Vec<Op>,
+    /// The verifier's operand-stack depth on entry to each op, `None` where
+    /// no path reaches: what a snapshot's `sp` is validated against.
+    pub entry_depth: Vec<Option<u16>>,
 }
+
+/// A method's ops and their entry depths.
+type Ops = (Vec<Op>, Vec<Option<u16>>);
 
 /// One `CallNative` site: the resolved name plus the site's inline cache
 /// into the permission decision cache.
@@ -221,7 +227,7 @@ impl CompiledImage {
         let mut methods = Vec::with_capacity(image.methods.len());
         let mut by_name: HashMap<String, usize> = HashMap::new();
         for (index, (m, fact)) in image.methods.iter().zip(&facts).enumerate() {
-            let code = compile_code(&m.code, &mut ctx)?;
+            let (code, entry_depth) = compile_code(&m.code, &fact.depth_at, &mut ctx)?;
             let locals = u16::from(m.locals);
             methods.push(CompiledMethod {
                 qualified: Arc::from(format!("{}.{}", image.name, m.name).as_str()),
@@ -229,6 +235,7 @@ impl CompiledImage {
                 locals,
                 frame_size: u32::from(locals) + fact.max_stack as u32,
                 code,
+                entry_depth,
             });
             // First definition wins, matching `ClassImage::method`'s
             // first-match scan.
@@ -360,7 +367,8 @@ fn cmpi_jf_opcode(cmp: &Insn) -> Option<u8> {
     })
 }
 
-fn compile_code(code: &[Insn], ctx: &mut Cx<'_>) -> Result<Vec<Op>> {
+/// Pre-decodes one method, returning its ops and each op's entry depth.
+fn compile_code(code: &[Insn], depth_at: &[Option<u16>], ctx: &mut Cx<'_>) -> Result<Ops> {
     let len = code.len();
     // The fusion boundary rule: a fused op may only swallow wire pcs no
     // branch can land on. (The verifier already proved all targets are
@@ -373,6 +381,7 @@ fn compile_code(code: &[Insn], ctx: &mut Cx<'_>) -> Result<Vec<Op>> {
     }
 
     let mut ops: Vec<Op> = Vec::with_capacity(len);
+    let mut entry_depth = Vec::with_capacity(len);
     // Wire pc -> compiled index, for branch retargeting. Interior pcs of a
     // fused op map to the op itself; the boundary rule guarantees no branch
     // ever uses those entries.
@@ -385,6 +394,7 @@ fn compile_code(code: &[Insn], ctx: &mut Cx<'_>) -> Result<Vec<Op>> {
             *entry = here;
         }
         ops.push(op);
+        entry_depth.push(depth_at[pc]);
         pc += consumed;
     }
     if ops.len() > usize::from(u16::MAX) {
@@ -399,7 +409,7 @@ fn compile_code(code: &[Insn], ctx: &mut Cx<'_>) -> Result<Vec<Op>> {
             op.t = pc_map[usize::from(op.t)];
         }
     }
-    Ok(ops)
+    Ok((ops, entry_depth))
 }
 
 /// Decodes (and greedily fuses, longest pattern first) the instruction(s)

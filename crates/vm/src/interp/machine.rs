@@ -541,9 +541,9 @@ impl Interpreter {
     ///
     /// # Errors
     ///
-    /// [`VmError::Trap`] if the snapshot does not belong to this class
-    /// image or its indices are out of range; otherwise exactly
-    /// [`Interpreter::run`].
+    /// [`VmError::Trap`] if the snapshot fails
+    /// [`InterpSnapshot::validate`] against this class image; otherwise
+    /// exactly [`Interpreter::run`].
     pub fn resume(&self, snap: &InterpSnapshot) -> Result<Value> {
         let mut prof = ProfTally::new(self.profiler.as_ref());
         let result = self.resume_compiled(snap, &mut prof);
@@ -552,25 +552,7 @@ impl Interpreter {
     }
 
     fn resume_compiled(&self, snap: &InterpSnapshot, prof: &mut ProfTally) -> Result<Value> {
-        let methods = self.compiled.methods();
-        if snap.image.name != self.compiled.image().name {
-            return Err(VmError::trap(format!(
-                "snapshot of class {} cannot resume on {}",
-                snap.image.name,
-                self.compiled.image().name
-            )));
-        }
-        let mi = snap.method as usize;
-        let in_range = |f: &FrameSnap| {
-            (f.method as usize) < methods.len()
-                && (f.pc as usize) <= methods[f.method as usize].code.len()
-        };
-        if mi >= methods.len()
-            || snap.pc as usize >= methods[mi].code.len()
-            || !snap.frames.iter().all(in_range)
-        {
-            return Err(VmError::trap("snapshot frame out of range"));
-        }
+        snap.validate(&self.compiled)?;
         self.stats
             .instructions
             .store(snap.instructions, Ordering::Relaxed);
@@ -599,7 +581,7 @@ impl Interpreter {
                 arena: snap.arena.clone(),
                 arena_charged: 0,
                 frames,
-                mi,
+                mi: snap.method as usize,
                 base: snap.base as usize,
                 sp: snap.sp as usize,
                 pc: snap.pc as usize,
@@ -1207,6 +1189,71 @@ pub(super) fn expected_int(other: &Value) -> VmError {
     VmError::trap(format!("expected int, got {other}"))
 }
 
+impl InterpSnapshot {
+    /// Checks that this continuation fits `image`, the class recompiled
+    /// from the snapshot's own image, so that resuming it indexes nothing
+    /// outside the code or the arena: a snapshot may come from another VM,
+    /// and the dispatch loop indexes the arena unchecked. There must be
+    /// fewer frames than `MAX_CALL_DEPTH` (64). Every frame's method and
+    /// `pc` must be in range at an op some path reaches, and its
+    /// `base + frame_size` must lie inside the arena. Frame bases ascend:
+    /// each caller's `pc` follows a `CALL` of the next frame's method, whose
+    /// frame starts where the call's arguments did. `sp` must lie inside
+    /// the executing frame's operand stack, at the depth the verifier
+    /// proved for the parked op.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Trap`] naming the first frame that breaks a rule.
+    pub fn validate(&self, image: &CompiledImage) -> Result<()> {
+        if self.image.name != image.image().name {
+            return Err(VmError::trap(format!(
+                "snapshot of class {} cannot resume on {}",
+                self.image.name,
+                image.image().name
+            )));
+        }
+        if self.frames.len() >= MAX_CALL_DEPTH {
+            return Err(VmError::trap("snapshot frames exceed the call depth"));
+        }
+        let executing = FrameSnap {
+            method: self.method,
+            pc: self.pc,
+            base: self.base,
+        };
+        let chain: Vec<&FrameSnap> = self.frames.iter().chain([&executing]).collect();
+        for (at, frame) in chain.iter().enumerate() {
+            let (pc, base) = (frame.pc as usize, frame.base as usize);
+            let method = image.methods().get(frame.method as usize);
+            let Some((method, Some(depth))) =
+                method.and_then(|m| Some((m, *m.entry_depth.get(pc)?)))
+            else {
+                return Err(VmError::trap(format!(
+                    "snapshot frame {at} is out of range"
+                )));
+            };
+            // Where this frame's stack top stands when it runs again.
+            let top = base + usize::from(method.locals) + usize::from(depth);
+            let linked = match chain.get(at + 1) {
+                // The return value lands where the callee's frame began.
+                Some(callee) => {
+                    pc.checked_sub(1).is_some_and(|call| {
+                        let o = method.code[call];
+                        o.code == op::CALL && u32::from(o.t) == callee.method
+                    }) && callee.base as usize + 1 == top
+                }
+                None => self.sp as usize == top,
+            };
+            if !linked || base + method.frame_size as usize > self.arena.len() {
+                return Err(VmError::trap(format!(
+                    "snapshot frame {at} does not fit its caller, stack or arena"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1704,9 +1751,10 @@ mod tests {
         assert_eq!(parked.stats().instructions(), expect_insns);
     }
 
-    #[test]
-    fn checkpoint_preserves_call_frames_and_fuel() {
-        let fib = ClassImage {
+    /// Recursive `fib(n)`: `fib(n - 1) + fib(n - 2)`, with a frame per
+    /// call, so a mid-run park holds caller frames.
+    fn recursive_fib() -> ClassImage {
+        ClassImage {
             name: "F".into(),
             methods: vec![MethodImage {
                 name: "fib".into(),
@@ -1737,7 +1785,12 @@ mod tests {
                     Insn::ReturnValue,
                 ],
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn checkpoint_preserves_call_frames_and_fuel() {
+        let fib = recursive_fib();
         let plain = interp(fib.clone());
         let expect = plain.run("fib", vec![Value::Int(14)]).unwrap();
         let expect_insns = plain.stats().instructions();
@@ -1758,21 +1811,43 @@ mod tests {
     }
 
     #[test]
-    fn resume_rejects_foreign_snapshots() {
-        let parked = interp(single(sum_loop(), 0, 2)).with_checkpoint_at(100);
-        parked.run("main", vec![]).unwrap_err();
-        let snap = parked.take_snapshot().unwrap();
-        let other = interp(ClassImage {
-            name: "Other".into(),
-            methods: vec![MethodImage {
-                name: "main".into(),
-                params: 0,
-                locals: 0,
-                code: vec![Insn::Return],
-            }],
-        });
-        let err = other.resume(&snap).unwrap_err();
-        assert!(err.to_string().contains("cannot resume"), "{err}");
+    fn tampered_snapshots_return_traps_not_panics() {
+        // A snapshot may come from another VM, and the dispatch loop
+        // indexes the arena unchecked. The four tamperings after the foreign
+        // class panicked on an arena index inside `exec` before resume
+        // validated its input; every one must now be refused with a trap.
+        let plain = interp(recursive_fib());
+        let expect = plain.run("fib", vec![Value::Int(12)]).unwrap();
+        let parked = interp(recursive_fib()).with_checkpoint_at(plain.stats().instructions() / 2);
+        parked.run("fib", vec![Value::Int(12)]).unwrap_err();
+        let snap = parked.take_snapshot().expect("snapshot");
+        assert!(snap.frames.len() >= 2, "parked inside the recursion");
+        type Tamper = fn(&mut InterpSnapshot);
+        let tamperings: [(&str, Tamper); 9] = [
+            ("a foreign class", |s| s.image.name = "Other".into()),
+            ("a huge sp", |s| s.sp = u32::MAX),
+            ("a huge base", |s| s.base = u32::MAX),
+            ("an empty arena", |s| s.arena.clear()),
+            ("a huge caller base", |s| s.frames[0].base = u32::MAX),
+            ("frames past the call depth", |s| {
+                let outer = s.frames[0].clone();
+                s.frames.resize(MAX_CALL_DEPTH, outer);
+            }),
+            ("a caller method out of range", |s| s.frames[1].method = 7),
+            ("descending frame bases", |s| s.base = s.frames[0].base),
+            ("sp off the parked op's stack depth", |s| s.sp -= 1),
+        ];
+        let restored = interp(recursive_fib());
+        for (what, tamper) in tamperings {
+            let mut bad = snap.clone();
+            tamper(&mut bad);
+            let outcome = restored.resume(&bad);
+            assert!(
+                matches!(outcome, Err(VmError::Trap { .. })),
+                "{what}: {outcome:?}"
+            );
+        }
+        assert_eq!(restored.resume(&snap).unwrap(), expect);
     }
 
     #[test]

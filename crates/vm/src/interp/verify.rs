@@ -26,12 +26,16 @@ use crate::Result;
 pub const MAX_STACK: usize = 256;
 
 /// Per-method facts the verifier proves, consumed by the pre-decoder
-/// ([`super::CompiledImage`]) to size call frames exactly.
-#[derive(Debug, Clone, Copy)]
+/// ([`super::CompiledImage`]) to size call frames exactly and to check a
+/// snapshot's stack pointers.
+#[derive(Debug, Clone)]
 pub(crate) struct MethodFacts {
     /// The maximum operand-stack depth any reachable path needs
     /// (≤ [`MAX_STACK`]).
     pub max_stack: usize,
+    /// The operand-stack depth on entry to each wire instruction; `None`
+    /// for instructions no path reaches.
+    pub depth_at: Vec<Option<u16>>,
 }
 
 /// Verifies every method of `image`.
@@ -153,6 +157,10 @@ fn verify_method(
     }
     Ok(MethodFacts {
         max_stack: max_stack.max(0) as usize,
+        depth_at: depth_at
+            .into_iter()
+            .map(|depth| depth.map(|d| d as u16))
+            .collect(),
     })
 }
 

@@ -542,7 +542,9 @@ mod tests {
         let recorder = FlightRecorder::new(32);
         let (w, r) = pipe_traced(16, None, Some(recorder.clone()));
         trace::clear();
-        let exec = recorder.begin(SpanCategory::Exec, "exec:writer").unwrap();
+        let exec = recorder
+            .begin(SpanCategory::Exec, "exec:writer", None)
+            .unwrap();
         let trace_id = exec.trace_id();
         w.write_all(b"payload").unwrap();
         drop(exec);
@@ -581,7 +583,7 @@ mod tests {
         let writer_recorder = recorder.clone();
         let writer = std::thread::spawn(move || {
             let exec = writer_recorder
-                .begin(SpanCategory::Exec, "exec:writer")
+                .begin(SpanCategory::Exec, "exec:writer", None)
                 .unwrap();
             w.write_all(b"0123456789ab").unwrap();
             drop(exec);

@@ -20,9 +20,10 @@
 //! * **A verified bytecode interpreter** ([`interp`]) so untrusted mobile
 //!   code (applets, §6.3) stays *data* executed under the security manager
 //!   rather than compiled-in Rust.
-//! * **System properties** ([`Properties`]) and a swappable
-//!   [`SecurityManager`]/user-resolver so the multi-processing layer can
-//!   install the paper's system security manager and per-application users.
+//! * **System properties** ([`Properties`]), a swappable
+//!   [`SecurityManager`], and the per-application [`AppContext`] every
+//!   thread carries, so the multi-processing layer can install the paper's
+//!   system security manager and per-application users.
 //!
 //! # Example: the Fig-1 lifetime
 //!
@@ -82,7 +83,7 @@ pub use group::{GroupId, ThreadGroup};
 pub use properties::Properties;
 pub use snapshot::{FrameSnap, InterpSnapshot, SNAPSHOT_VERSION};
 pub use thread::{ThreadId, VmThread};
-pub use vm::{SecurityManager, ThreadBuilder, UserResolver, Vm, VmBuilder};
+pub use vm::{SecurityManager, ThreadBuilder, Vm, VmBuilder};
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, VmError>;

@@ -21,14 +21,6 @@ use crate::stack;
 use crate::thread::{self, ThreadCtl, ThreadId, VmThread};
 use crate::Result;
 
-/// Resolves the *running user* for the current thread — installed by the
-/// multi-processing layer, which maps the current thread to its application
-/// and the application to its user (paper §5.2/§5.3). Without a resolver,
-/// checks proceed with no user (pure code-source policy, as in stock JDK).
-/// The user is shared, not copied: a check resolves it once and allocates
-/// nothing.
-pub type UserResolver = Arc<dyn Fn() -> Option<Arc<str>> + Send + Sync>;
-
 /// Warm hits and trusted empty-stack bypasses read the clock for one check
 /// in this many per thread (starting with the thread's first), and only
 /// those samples feed `security.check_ns` and `security.check_depth`.
@@ -97,7 +89,7 @@ pub trait SecurityManager: Send + Sync {
 struct VmInner {
     name: String,
     extensions: RwLock<HashMap<String, Arc<dyn std::any::Any + Send + Sync>>>,
-    // The three security roots are epoch-published: every access check
+    // The two security roots are epoch-published: every access check
     // reads them, every reload rewrites them, and a single RwLock here is
     // the hottest lock in the VM under an exec storm (see `epoch_cell`).
     policy: Arc<EpochCell<Policy>>,
@@ -109,7 +101,6 @@ struct VmInner {
     threads: RwLock<HashMap<ThreadId, VmThread>>,
     next_thread_id: AtomicU64,
     security_manager: EpochCell<dyn SecurityManager>,
-    user_resolver: EpochCell<dyn Fn() -> Option<Arc<str>> + Send + Sync>,
     decisions: DecisionCache,
     obs: ObsHub,
     shutdown: AtomicBool,
@@ -189,7 +180,7 @@ impl VmBuilder {
             } else {
                 EventKind::ClassDefined
             };
-            let app = obs_for_loader.current_app();
+            let app = thread::current_app_context().map(|ctx| ctx.app_id());
             if let Some(registry) = app.and_then(|id| obs_for_loader.existing_app_registry(id)) {
                 registry.counter("classes.defined").inc();
                 if via_reload {
@@ -211,7 +202,6 @@ impl VmBuilder {
                 threads: RwLock::new(HashMap::new()),
                 next_thread_id: AtomicU64::new(1),
                 security_manager: EpochCell::new(None),
-                user_resolver: EpochCell::new(None),
                 decisions: DecisionCache::new(),
                 obs,
                 shutdown: AtomicBool::new(false),
@@ -326,17 +316,19 @@ impl Vm {
     }
 
     /// Drops every cached access-control decision by bumping the cache
-    /// epoch. Called automatically by [`Vm::set_policy`],
-    /// [`Vm::set_security_manager`] and [`Vm::set_user_resolver`]; exposed
-    /// for benchmarks and tests that need a cold cache on an unchanged
-    /// policy.
+    /// epoch. Called automatically by [`Vm::set_policy`] and
+    /// [`Vm::set_security_manager`]; exposed for benchmarks and tests that
+    /// need a cold cache on an unchanged policy. A `setUser` needs no flush:
+    /// the user is part of every cached decision's key.
     pub fn flush_access_cache(&self) {
         self.inner.decisions.invalidate();
         self.inner.obs.record_access_cache_invalidation();
     }
 
     /// Pure stack-inspection check against the policy, combining user-based
-    /// grants (paper §5.3) via the installed user resolver. This is what
+    /// grants (paper §5.3) for the user of the calling thread's
+    /// [`AppContext`]; a thread with no context checks with no user (pure
+    /// code-source policy, as in a stock JDK). This is what
     /// security-manager implementations delegate to — the analogue of
     /// `AccessController.checkPermission`.
     ///
@@ -369,10 +361,13 @@ impl Vm {
             return fast(CacheOutcome::Bypass);
         }
         // Capture the epoch before consulting anything the epoch guards
-        // (user resolver, policy): if a reload races this check, the stale
-        // insert below can never serve a post-reload lookup.
+        // (the policy): if a reload races this check, the stale insert below
+        // can never serve a post-reload lookup. The user is read from the
+        // context the thread carries; it keys every cached decision, so a
+        // `setUser` needs no epoch bump.
         let epoch = self.inner.decisions.epoch();
-        let user = self.current_user();
+        let app_id = app.as_deref().map(AppContext::app_id);
+        let user = app.as_deref().map(AppContext::user);
         let user = user.as_deref();
         let ledger = self.inner.obs.demands();
         // Per-site inline cache: when this check was triggered from inside
@@ -429,12 +424,11 @@ impl Vm {
                     None
                 } else {
                     let at_ms = self.inner.obs.clock().millis_of(started);
-                    let app = self.inner.obs.current_app();
                     let permission = perm.to_string();
                     let mut first_cell = None;
                     for route in &routes {
                         let cell = ledger.record(
-                            app,
+                            app_id,
                             &route.source,
                             user,
                             &permission,
@@ -463,9 +457,9 @@ impl Vm {
                 // (no-op when the check came from outside the interpreter).
                 crate::decision_cache::site_store(epoch, fingerprint, perm, user, demand_cell);
                 self.inner.obs.record_access_check(
-                    "",
                     None,
                     depth,
+                    app_id,
                     user,
                     latency_ns,
                     CacheOutcome::Miss,
@@ -474,7 +468,7 @@ impl Vm {
             Err(err) => {
                 if let Some(refused) = routes.iter().find(|r| r.refused) {
                     ledger.record(
-                        self.inner.obs.current_app(),
+                        app_id,
                         &refused.source,
                         user,
                         &perm.to_string(),
@@ -484,9 +478,9 @@ impl Vm {
                     );
                 }
                 self.inner.obs.record_access_check(
-                    &perm.to_string(),
-                    Some(&err.to_string()),
+                    Some((&perm.to_string(), &err.to_string())),
                     depth,
+                    app_id,
                     user,
                     latency_ns,
                     CacheOutcome::Bypass,
@@ -533,24 +527,6 @@ impl Vm {
     pub fn set_security_manager(&self, sm: Arc<dyn SecurityManager>) -> Result<()> {
         self.check_permission(&Permission::runtime("setSecurityManager"))?;
         self.inner.security_manager.store(Some(sm));
-        self.flush_access_cache();
-        Ok(())
-    }
-
-    /// The running user for the current thread, per the installed resolver.
-    pub fn current_user(&self) -> Option<Arc<str>> {
-        self.inner.user_resolver.load().and_then(|r| r())
-    }
-
-    /// Installs the user resolver. Requires
-    /// `RuntimePermission("setUserResolver")`.
-    ///
-    /// # Errors
-    ///
-    /// [`VmError::Security`] if the caller lacks the permission.
-    pub fn set_user_resolver(&self, resolver: UserResolver) -> Result<()> {
-        self.check_permission(&Permission::runtime("setUserResolver"))?;
-        self.inner.user_resolver.store(Some(resolver));
         self.flush_access_cache();
         Ok(())
     }
@@ -801,8 +777,8 @@ impl ThreadBuilder {
     }
 
     /// Detaches the thread from application ownership even when spawned by
-    /// an application thread: it carries no [`AppContext`] and is charged to
-    /// no ledger. For runtime-infrastructure threads (the toolkit's
+    /// an application thread: it carries no [`AppContext`], is charged to
+    /// no ledger, and belongs to no application, whatever group it runs in. For runtime-infrastructure threads (the toolkit's
     /// X-connection thread, watchdogs) that happen to be started lazily from
     /// whatever application touched the facility first — billing a VM-lifetime
     /// helper to that application would leak a thread slot the application
@@ -1171,8 +1147,20 @@ mod tests {
         victim.interrupt_raw();
     }
 
+    /// Runs `body` on a VM thread carrying an [`AppContext`] whose user is
+    /// `user` — the only way a check learns who it runs for.
+    fn run_as_user(vm: &Vm, user: &str, body: impl FnOnce(Vm) + Send + 'static) {
+        let ctx = AppContext::new(1, "Test", user, vm.main_group().id(), vm.obs().clone());
+        vm.thread_builder()
+            .app_context(ctx)
+            .spawn(body)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
     #[test]
-    fn user_resolver_feeds_access_checks() {
+    fn context_user_feeds_access_checks() {
         use jmp_security::{FileActions, PermissionCollection};
         let mut policy = Policy::new();
         policy.grant_user(
@@ -1184,28 +1172,28 @@ mod tests {
             vec![Permission::exercise_user_permissions()],
         );
         let vm = Vm::builder().policy(policy).build();
-        vm.set_user_resolver(Arc::new(|| Some(Arc::from("alice"))))
-            .unwrap();
 
-        let editor = Arc::new(jmp_security::ProtectionDomain::new(
-            CodeSource::local("file:/apps/editor"),
-            vm.policy()
-                .permissions_for(&CodeSource::local("file:/apps/editor")),
-        ));
-        let alice_file = Permission::file("/home/alice/notes", FileActions::READ);
-        stack::call_as("Editor", editor, || {
-            vm.check_permission(&alice_file).unwrap();
-            vm.check_permission(&Permission::file("/home/bob/notes", FileActions::READ))
-                .unwrap_err();
-        });
+        run_as_user(&vm, "alice", |vm| {
+            let editor = Arc::new(jmp_security::ProtectionDomain::new(
+                CodeSource::local("file:/apps/editor"),
+                vm.policy()
+                    .permissions_for(&CodeSource::local("file:/apps/editor")),
+            ));
+            let alice_file = Permission::file("/home/alice/notes", FileActions::READ);
+            stack::call_as("Editor", editor, || {
+                vm.check_permission(&alice_file).unwrap();
+                vm.check_permission(&Permission::file("/home/bob/notes", FileActions::READ))
+                    .unwrap_err();
+            });
 
-        // Untrusted code can't exercise alice's grants.
-        let applet = Arc::new(jmp_security::ProtectionDomain::new(
-            CodeSource::remote("http://applets/x"),
-            PermissionCollection::new(),
-        ));
-        stack::call_as("Applet", applet, || {
-            assert!(vm.check_permission(&alice_file).unwrap_err().is_security());
+            // Untrusted code can't exercise alice's grants.
+            let applet = Arc::new(jmp_security::ProtectionDomain::new(
+                CodeSource::remote("http://applets/x"),
+                PermissionCollection::new(),
+            ));
+            stack::call_as("Applet", applet, || {
+                assert!(vm.check_permission(&alice_file).unwrap_err().is_security());
+            });
         });
     }
 
@@ -1303,10 +1291,11 @@ mod tests {
         let vm = Vm::builder().policy(policy).build();
         let checker = vm.clone();
         std::thread::spawn(move || {
-            let _request = checker
-                .obs()
-                .recorder()
-                .begin(jmp_obs::SpanCategory::Command, "request");
+            let _request =
+                checker
+                    .obs()
+                    .recorder()
+                    .begin(jmp_obs::SpanCategory::Command, "request", None);
             let app = Arc::new(jmp_security::ProtectionDomain::new(
                 CodeSource::local("file:/apps/reader"),
                 checker
@@ -1410,7 +1399,7 @@ mod tests {
         let rows = vm.obs().demands().rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].granted, 6, "1 walk + 4 warm checks + 1 probe");
-        // An epoch bump (policy/manager/resolver change) kills the site's
+        // An epoch bump (a policy or manager change) kills the site's
         // cached grant along with the shared cache.
         vm.inner.decisions.invalidate();
         stack::call_as("Applet", applet, || {
@@ -1494,16 +1483,17 @@ mod tests {
             vec![Permission::exercise_user_permissions()],
         );
         let vm = Vm::builder().policy(policy).build();
-        vm.set_user_resolver(Arc::new(|| Some(Arc::from("alice"))))
-            .unwrap();
         let editor = Arc::new(jmp_security::ProtectionDomain::new(
             CodeSource::local("file:/apps/editor"),
             vm.policy()
                 .permissions_for(&CodeSource::local("file:/apps/editor")),
         ));
         let alice_file = Permission::file("/home/alice/notes", FileActions::READ);
-        stack::call_as("Editor", Arc::clone(&editor), || {
-            vm.access_check(&alice_file).unwrap();
+        let (domain, demand) = (Arc::clone(&editor), alice_file.clone());
+        run_as_user(&vm, "alice", move |vm| {
+            stack::call_as("Editor", domain, || {
+                vm.access_check(&demand).unwrap();
+            });
         });
         let rows = vm.obs().demands().rows();
         assert_eq!(rows.len(), 1);
@@ -1514,9 +1504,11 @@ mod tests {
         // A disabled ledger records nothing — not even on full walks.
         vm.reset_demands();
         vm.obs().demands().set_enabled(false);
-        stack::call_as("Editor", editor, || {
-            vm.access_check(&alice_file).unwrap();
-            vm.access_check(&alice_file).unwrap();
+        run_as_user(&vm, "alice", move |vm| {
+            stack::call_as("Editor", editor, || {
+                vm.access_check(&alice_file).unwrap();
+                vm.access_check(&alice_file).unwrap();
+            });
         });
         assert!(vm.obs().demands().rows().is_empty());
         // The pre-reset observation stays in the monotone total; the
@@ -1619,7 +1611,7 @@ mod tests {
                     while !stop.load(Ordering::Relaxed) {
                         // A fresh target every iteration keeps the decision
                         // cache cold, so every check consults the policy
-                        // root and the user resolver.
+                        // root.
                         let demand =
                             Permission::file(format!("/tmp/spin-{t}/{i}"), FileActions::READ);
                         stack::call_as("Spinner", Arc::clone(&trusted), || {

@@ -7,8 +7,20 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use jmp_security::{AccessContext, CodeSource, FileActions, Permission, Policy, ProtectionDomain};
-use jmp_vm::{stack, Vm};
+use jmp_vm::{stack, AppContext, ThreadBuilder, Vm};
 use tests_integration::{register_app, runtime};
+
+/// A VM thread run by alice: the access check reads the running user from
+/// the application context the thread carries.
+fn as_alice(vm: &Vm) -> ThreadBuilder {
+    let ctx = AppContext::new(1, "Editor", "alice", vm.main_group().id(), vm.obs().clone());
+    vm.thread_builder().app_context(ctx)
+}
+
+/// Runs `body` on a thread run by alice and waits for it.
+fn run_as_alice(vm: &Vm, body: impl FnOnce(Vm) + Send + 'static) {
+    as_alice(vm).spawn(body).unwrap().join().unwrap();
+}
 
 fn code_domain(vm: &Vm, url: &str) -> Arc<ProtectionDomain> {
     let source = CodeSource::local(url);
@@ -42,23 +54,24 @@ fn user_policy(user: &str, paths: &[&str]) -> Policy {
 #[test]
 fn reload_honors_new_grants_and_revokes_old_ones() {
     let vm = Vm::builder().policy(user_policy("alice", &["/a"])).build();
-    vm.set_user_resolver(Arc::new(|| Some(Arc::from("alice"))))
-        .unwrap();
     let editor = exercising_domain(&vm, "file:/apps/editor");
     let read_a = Permission::file("/a", FileActions::READ);
     let read_b = Permission::file("/b", FileActions::READ);
 
-    stack::call_as("Editor", Arc::clone(&editor), || {
-        // Warm the /a decision thoroughly.
-        for _ in 0..10 {
-            vm.access_check(&read_a).unwrap();
-        }
-        vm.access_check(&read_b).unwrap_err();
-    });
-    vm.set_policy(user_policy("alice", &["/b"])).unwrap();
-    stack::call_as("Editor", editor, || {
-        vm.access_check(&read_b).unwrap();
-        vm.access_check(&read_a).unwrap_err();
+    run_as_alice(&vm, move |vm| {
+        stack::call_as("Editor", Arc::clone(&editor), || {
+            // Warm the /a decision thoroughly.
+            for _ in 0..10 {
+                vm.access_check(&read_a).unwrap();
+            }
+            vm.access_check(&read_b).unwrap_err();
+        });
+        // The reload runs outside the editor's frame (a trusted stack).
+        vm.set_policy(user_policy("alice", &["/b"])).unwrap();
+        stack::call_as("Editor", editor, || {
+            vm.access_check(&read_b).unwrap();
+            vm.access_check(&read_a).unwrap_err();
+        });
     });
 }
 
@@ -113,8 +126,6 @@ fn concurrent_checks_and_reloads_stay_consistent() {
     let policy_without = user_policy("alice", &["/stable"]);
 
     let vm = Vm::builder().policy(policy_with.clone()).build();
-    vm.set_user_resolver(Arc::new(|| Some(Arc::from("alice"))))
-        .unwrap();
     let editor = exercising_domain(&vm, "file:/apps/editor");
     let stable = Permission::file("/stable", FileActions::READ);
     let flip = Permission::file("/flip", FileActions::READ);
@@ -122,15 +133,14 @@ fn concurrent_checks_and_reloads_stay_consistent() {
     let (tx, rx) = mpsc::channel::<String>();
     let mut checkers = Vec::new();
     for i in 0..CHECKERS {
-        let vm = vm.clone();
         let editor = Arc::clone(&editor);
         let stable = stable.clone();
         let flip = flip.clone();
         let tx = tx.clone();
         checkers.push(
-            std::thread::Builder::new()
+            as_alice(&vm)
                 .name(format!("checker-{i}"))
-                .spawn(move || {
+                .spawn(move |vm| {
                     stack::call_as("Editor", editor, || {
                         for _ in 0..CHECKS_PER_THREAD {
                             if vm.access_check(&stable).is_err() {
@@ -162,15 +172,17 @@ fn concurrent_checks_and_reloads_stay_consistent() {
         panic!("{failure}");
     }
     // Settle on each final policy in turn and verify cached state obeys it.
-    vm.set_policy(policy_without).unwrap();
-    stack::call_as("Editor", Arc::clone(&editor), || {
-        vm.access_check(&stable).unwrap();
-        vm.access_check(&flip).unwrap_err();
-    });
-    vm.set_policy(policy_with).unwrap();
-    stack::call_as("Editor", editor, || {
-        vm.access_check(&stable).unwrap();
-        vm.access_check(&flip).unwrap();
+    run_as_alice(&vm, move |vm| {
+        vm.set_policy(policy_without).unwrap();
+        stack::call_as("Editor", Arc::clone(&editor), || {
+            vm.access_check(&stable).unwrap();
+            vm.access_check(&flip).unwrap_err();
+        });
+        vm.set_policy(policy_with).unwrap();
+        stack::call_as("Editor", editor, || {
+            vm.access_check(&stable).unwrap();
+            vm.access_check(&flip).unwrap();
+        });
     });
 }
 

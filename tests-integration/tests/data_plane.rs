@@ -180,7 +180,7 @@ fn traced_pipe_spans_are_exact_and_linked() {
         .thread_builder()
         .name("traced-writer")
         .spawn(move |_| {
-            let exec = recorder.begin(SpanCategory::Exec, "exec:producer");
+            let exec = recorder.begin(SpanCategory::Exec, "exec:producer", None);
             // 32 bytes through an 8-byte pipe: four blocking rounds, one call.
             writer.write_all(&[1u8; 32]).unwrap();
             drop(exec);

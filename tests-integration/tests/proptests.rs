@@ -305,6 +305,81 @@ fn group_counts_are_consistent() {
 }
 
 // ---------------------------------------------------------------------------
+// Access checks: warm decisions follow the context's user
+// ---------------------------------------------------------------------------
+
+/// The access check reads the running user from the application context
+/// its thread carries and keys cached decisions by it, with no epoch
+/// behind the user. Over generated interleavings of `setUser`, swaps
+/// between two policies that differ in one user grant, and checks, every
+/// outcome, warm or cold, equals a cold walk for the context's current
+/// user under the current policy.
+#[test]
+fn warm_decisions_follow_the_context_user() {
+    use jmp_security::{AccessContext, AccessController, CodeSource, FileActions, Permission};
+    use std::sync::Arc;
+    const USERS: [&str; 3] = ["alice", "bob", "carol"];
+    const WORDS: [&str; 3] = ["notes", "todo", "mail"];
+    let read = |path: &str| Permission::file(path, FileActions::READ);
+    let mut own = jmp_security::Policy::new();
+    for user in USERS {
+        own.grant_user(user, vec![read(&format!("/home/{user}/-"))]);
+    }
+    let mut shared = own.clone();
+    shared.grant_user("bob", vec![read("/home/carol/-")]);
+    let policies = [own, shared];
+
+    let mut warm_hits = 0;
+    for seed in 0..200u64 {
+        let vm = jmp_vm::Vm::builder().policy(policies[0].clone()).build();
+        let ctx =
+            jmp_vm::AppContext::new(1, "Editor", "alice", vm.main_group().id(), vm.obs().clone());
+        let (policies, app) = (policies.clone(), Arc::clone(&ctx));
+        let body = move |vm: jmp_vm::Vm| {
+            let mut g = Gen::new(0x05E7_0000 + seed);
+            let editor = Arc::new(jmp_security::ProtectionDomain::new(
+                CodeSource::local("file:/apps/editor"),
+                [Permission::exercise_user_permissions()]
+                    .into_iter()
+                    .collect(),
+            ));
+            let cold = AccessContext::from_domains(vec![Arc::clone(&editor)]);
+            let mut live = 0;
+            for step in 0..100 {
+                // Checks dominate, so warm hits pile up between switches.
+                match g.below(6) {
+                    0 => app.set_user(USERS[g.below(3) as usize]),
+                    1 => {
+                        live = g.below(2) as usize;
+                        vm.set_policy(policies[live].clone()).unwrap();
+                    }
+                    _ => {
+                        let owner = USERS[g.below(3) as usize];
+                        let demand = read(&format!("/home/{owner}/{}", WORDS[g.below(3) as usize]));
+                        let user = app.user();
+                        let check = || vm.access_check(&demand).is_ok();
+                        let got = jmp_vm::stack::call_as("Editor", Arc::clone(&editor), check);
+                        let want = AccessController::check_with(
+                            &cold,
+                            &demand,
+                            Some(&user),
+                            &policies[live],
+                        );
+                        let at =
+                            format!("seed {seed} step {step}: {user}, {demand}, policy {live}");
+                        assert_eq!(got, want.is_ok(), "{at}");
+                    }
+                }
+            }
+        };
+        let checker = vm.thread_builder().app_context(ctx).spawn(body).unwrap();
+        checker.join().expect("every check agrees with a cold walk");
+        warm_hits += vm.obs().vm_metrics().counter("access.cache.hits").get();
+    }
+    assert!(warm_hits > 100, "too few warm hits: {warm_hits}");
+}
+
+// ---------------------------------------------------------------------------
 // Shell parser: rendered commands re-parse to the same structure
 // ---------------------------------------------------------------------------
 
