@@ -67,6 +67,27 @@ impl WindowInner {
         })
     }
 
+    /// Drops every listener of a closed window: it dispatches nothing
+    /// more, and a listener holding its own window (an editor's Save
+    /// action) would otherwise keep the window, its toolkit and the VM
+    /// alive. Listeners registered on a closed window are dropped too.
+    pub(crate) fn drop_listeners(&self) {
+        self.closing_listeners.write().clear();
+        for record in self.components.read().iter() {
+            record.listeners.write().clear();
+        }
+    }
+
+    /// Adds `listener` to `listeners` unless the window is closed. Checked
+    /// under the list's lock, so a close that clears the list after
+    /// setting `closed` cannot miss it.
+    fn add_listener(&self, listeners: &RwLock<Vec<Listener>>, listener: Listener) {
+        let mut listeners = listeners.write();
+        if !self.closed.load(Ordering::SeqCst) {
+            listeners.push(listener);
+        }
+    }
+
     pub(crate) fn add_component(&self, kind: ComponentKind) -> ComponentId {
         let id = ComponentId(self.next_component.fetch_add(1, Ordering::Relaxed));
         self.components.write().push(Arc::new(ComponentRecord {
@@ -150,16 +171,15 @@ impl Window {
         listener: impl Fn(&Event) + Send + Sync + 'static,
     ) {
         if let Some(record) = self.inner.component(component) {
-            record.listeners.write().push(Arc::new(listener));
+            self.inner
+                .add_listener(&record.listeners, Arc::new(listener));
         }
     }
 
     /// Registers `listener` for the window's close request.
     pub fn on_closing(&self, listener: impl Fn(&Event) + Send + Sync + 'static) {
         self.inner
-            .closing_listeners
-            .write()
-            .push(Arc::new(listener));
+            .add_listener(&self.inner.closing_listeners, Arc::new(listener));
     }
 
     /// Current content of a text field (typed characters accumulate).

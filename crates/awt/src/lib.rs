@@ -73,7 +73,7 @@ mod tests {
     /// Creates a window on a VM thread carrying application `app`'s
     /// context, whose id the toolkit reads as the window's tag.
     fn create_window_as(vm: &Vm, toolkit: &Toolkit, app: u64, title: &'static str) -> Window {
-        let ctx = AppContext::new(app, title, "alice", vm.main_group().id(), vm.obs().clone());
+        let ctx = AppContext::new(app, title, "alice", vm.obs().clone());
         let ((created, window), toolkit) = (std::sync::mpsc::channel(), toolkit.clone());
         vm.thread_builder()
             .app_context(ctx)

@@ -625,13 +625,7 @@ mod tests {
     }
 
     fn owner(id: u64) -> Arc<AppContext> {
-        AppContext::new(
-            id,
-            "App",
-            "alice",
-            jmp_vm::GroupId(id),
-            jmp_obs::ObsHub::new(),
-        )
+        AppContext::new(id, "App", "alice", jmp_obs::ObsHub::new())
     }
 
     #[test]

@@ -187,10 +187,12 @@ impl Toolkit {
     }
 
     pub(crate) fn close_window(&self, id: WindowId) {
-        if let Some(window) = self.inner.windows.write().remove(&id) {
+        let removed = self.inner.windows.write().remove(&id);
+        if let Some(window) = removed {
             window
                 .closed
                 .store(true, std::sync::atomic::Ordering::SeqCst);
+            window.drop_listeners();
             self.inner.display.destroy_window(id);
         }
     }

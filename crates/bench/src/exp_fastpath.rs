@@ -192,7 +192,7 @@ fn reload_table() -> Table {
     let vm = Vm::builder().policy(before).build();
     // The checks run for alice: the access check reads the running user
     // from the application context its thread carries.
-    let alice = AppContext::new(1, "Editor", "alice", vm.main_group().id(), vm.obs().clone());
+    let alice = AppContext::new(1, "Editor", "alice", vm.obs().clone());
     let (rows, table) = std::sync::mpsc::channel();
     vm.thread_builder()
         .app_context(alice)

@@ -48,7 +48,8 @@ const FIB_N: i64 = 18;
 const ROUNDS: usize = 21;
 
 /// Call-heavy recursion: exercises frame reuse and resolved call sites.
-const FIB: &str = r#"
+/// E16 times it for the sampling profiler's per-call cost.
+pub(crate) const FIB: &str = r#"
     class Fib
     method main/1 locals=1
         load 0

@@ -318,11 +318,7 @@ impl TimedWorker {
 fn measure_overhead() -> (u64, f64, f64) {
     let image = Arc::new(assemble(SUM_LOOP).expect("sum assembles"));
     let vm = Vm::builder().build();
-    let group = vm
-        .main_group()
-        .new_child("memgov-bench")
-        .expect("group creates");
-    let ctx = AppContext::new(9_000, "memgov-bench", "alice", group.id(), vm.obs().clone());
+    let ctx = AppContext::new(9_000, "memgov-bench", "alice", vm.obs().clone());
 
     // Count wire instructions once with a throwaway interpreter.
     let counter = Interpreter::new(Arc::clone(&image), Arc::new(NoNatives)).expect("verifies");

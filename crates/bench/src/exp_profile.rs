@@ -2,7 +2,7 @@
 //! applications with distinct workloads, the sampled stacks the VM
 //! profiler thread collects for them, and the accounting overhead.
 //!
-//! Three tables:
+//! Four tables:
 //!
 //! * **E16a** — per-view opcode accounting: instructions, apportioned
 //!   cost, and the busiest opcodes, VM-wide and for each application
@@ -17,6 +17,10 @@
 //!   per-instruction cost with accounting off vs on, interleaved runs,
 //!   round minima. The CI gate on the exported summary is ≤5% (release
 //!   build).
+//! * **E16d** — sampling overhead on recursive code: `fib(16)` (3,193
+//!   interpreted calls) on two interpreters with accounting on, one
+//!   publishing a frame per call and return, interleaved rounds, round
+//!   minima. The CI gate is ≤25%.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -26,6 +30,7 @@ use jmp_core::AppId;
 use jmp_obs::{ProfileReport, Profiler, REAPED_VIEWS};
 use jmp_vm::interp::{assemble, Interpreter, NativeHost, NoNatives, Value};
 
+use crate::exp_interp::FIB;
 use crate::harness::{
     await_earlier_reaps, per_call_minima, register_app, standard_runtime, wire_insns, SUM_LOOP,
 };
@@ -97,6 +102,13 @@ const OVERHEAD_ROUNDS: usize = 41;
 /// Iterations per overhead run.
 const OVERHEAD_N: i64 = 40_000;
 
+/// `fib` argument for the sampling overhead: 3,193 calls per run.
+const SAMPLING_FIB_N: i64 = 16;
+/// Interleaved off/on rounds for the sampling overhead. A round is about
+/// 0.2 ms, so many rounds are cheap, and they give both arms' minima a
+/// chance to land in the same quiet slice when the host's speed drifts.
+const SAMPLING_ROUNDS: usize = 101;
+
 static STOP: AtomicBool = AtomicBool::new(false);
 
 /// A native host that answers every call with `1`, unchecked.
@@ -133,6 +145,12 @@ pub struct E16Summary {
     pub accounting_on_ns: f64,
     /// `(on/off - 1) * 100` — the CI gate is ≤5% on release builds.
     pub overhead_pct: f64,
+    /// Round-minimum `fib(16)` run with sampling off (µs; accounting on).
+    pub sampling_off_us: f64,
+    /// Round-minimum `fib(16)` run with sampling on (µs; accounting on).
+    pub sampling_on_us: f64,
+    /// `(on/off - 1) * 100` — the CI gate is ≤25%.
+    pub sampling_overhead_pct: f64,
 }
 
 /// `BENCH_E16.json`: the scalar summary, the full [`ProfileReport`] of the
@@ -246,15 +264,47 @@ fn measured_overhead() -> [f64; 2] {
     per_call_minima(OVERHEAD_ROUNDS, 1, arms).map(|ns| ns / insns_per_run)
 }
 
+/// Times recursive `fib` with stack sampling off vs on (accounting on in
+/// both), on direct interpreters with explicit profilers, interleaved
+/// rounds. Returns the `[off_ns, on_ns]` per-run round minima. With no
+/// sampler thread attached, the difference is what publishing a frame per
+/// interpreted call and return costs.
+fn measured_sampling_overhead() -> [f64; 2] {
+    let image = Arc::new(assemble(FIB).expect("fib assembles"));
+    let off_profiler = Profiler::new();
+    off_profiler.set_sampling(false);
+    let off = Interpreter::new(Arc::clone(&image), Arc::new(NoNatives))
+        .expect("off interpreter builds")
+        .with_profiler(off_profiler);
+    let on = Interpreter::new(Arc::clone(&image), Arc::new(NoNatives))
+        .expect("on interpreter builds")
+        .with_profiler(Profiler::new());
+    let run = |i: &Interpreter| {
+        i.run("main", vec![Value::Int(SAMPLING_FIB_N)])
+            .expect("runs")
+    };
+    run(&off);
+    run(&on);
+    let arms: [&mut dyn FnMut(); 2] = [&mut || drop(run(&off)), &mut || drop(run(&on))];
+    per_call_minima(SAMPLING_ROUNDS, 1, arms)
+}
+
+/// `(on / off - 1) * 100`, or 0 without a baseline.
+fn overhead(off: f64, on: f64) -> f64 {
+    if off > 0.0 {
+        (on / off - 1.0) * 100.0
+    } else {
+        0.0
+    }
+}
+
 /// Runs E16: the tables plus `BENCH_E16.json` and `e16-flame.txt`.
 pub fn e16_profile() -> Report {
     let (report, retained_app_views) = scenario_report();
     let [off_ns, on_ns] = measured_overhead();
-    let overhead_pct = if off_ns > 0.0 {
-        (on_ns / off_ns - 1.0) * 100.0
-    } else {
-        0.0
-    };
+    let overhead_pct = overhead(off_ns, on_ns);
+    let [sampling_off_ns, sampling_on_ns] = measured_sampling_overhead();
+    let sampling_overhead_pct = overhead(sampling_off_ns, sampling_on_ns);
 
     let mut e16a = Table::new(
         "E16a",
@@ -312,6 +362,20 @@ pub fn e16_profile() -> Report {
     ]);
     e16c.note("interleaved runs, round minima; the CI budget is +5% on release builds.");
 
+    let mut e16d = Table::new(
+        "E16d",
+        "sampling overhead on recursive calls (no VM, accounting on)",
+        &["workload", "sampling off", "sampling on", "delta"],
+    );
+    e16d.rowd(&[
+        format!("fib({SAMPLING_FIB_N})"),
+        format!("{:.1} us", sampling_off_ns / 1e3),
+        format!("{:.1} us", sampling_on_ns / 1e3),
+        format!("{sampling_overhead_pct:+.1}%"),
+    ]);
+    e16d.note("one frame pushed per interpreted call and popped per return;");
+    e16d.note("interleaved runs, round minima; the CI budget is +25%.");
+
     let top_opcode = report
         .vm
         .opcodes
@@ -329,6 +393,9 @@ pub fn e16_profile() -> Report {
         accounting_off_ns: off_ns,
         accounting_on_ns: on_ns,
         overhead_pct,
+        sampling_off_us: sampling_off_ns / 1e3,
+        sampling_on_us: sampling_on_ns / 1e3,
+        sampling_overhead_pct,
     };
     let flamegraph = report.flamegraph(None);
     let artifacts = vec![
@@ -346,7 +413,7 @@ pub fn e16_profile() -> Report {
         ),
     ];
     Report {
-        tables: vec![e16a, e16b, e16c],
+        tables: vec![e16a, e16b, e16c, e16d],
         artifacts,
     }
 }
@@ -359,7 +426,7 @@ mod tests {
     fn e16_profiles_both_apps_and_exports() {
         let _serial = crate::harness::latency_test_guard();
         let e16 = e16_profile();
-        assert_eq!(e16.tables.len(), 3);
+        assert_eq!(e16.tables.len(), 4);
         let artifacts: E16Artifacts =
             serde_json::from_str(e16.artifact("BENCH_E16.json")).expect("BENCH_E16.json parses");
         assert_eq!(e16.artifact("e16-flame.txt"), artifacts.flamegraph);

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use jmp_awt::{ComponentId, DispatchMode, Toolkit};
 use jmp_core::MpRuntime;
 use jmp_security::Policy;
-use jmp_vm::{AppContext, GroupId, ResourceKind};
+use jmp_vm::{AppContext, ResourceKind};
 
 use crate::harness::{median, per_call_minima, register_app, ARM_ROUNDS};
 use crate::table::{fmt_ns, ok, Table};
@@ -336,7 +336,7 @@ fn run_scenario(quotas: bool, attackers: bool) -> Outcome {
 /// second pass, beside three sibling threads charging the same slot; they
 /// stop and are joined before the table is built.
 fn charge_table() -> Table {
-    let context = || AppContext::new(1, "Bench", "alice", GroupId(1), jmp_obs::ObsHub::new());
+    let context = || AppContext::new(1, "Bench", "alice", jmp_obs::ObsHub::new());
     let (alone, shared, capped) = (context(), context(), context());
     capped.limits().set(ResourceKind::Threads, 0);
     let pair = |ctx: &AppContext| {

@@ -105,6 +105,7 @@ pub const GATES: &[Gate] = &[
     gate(E15, "audited_denials", NonZero, "quota audit regression"),
     gate(E15, "ledgers_drained", True, "ledger exactness regression"),
     gate(E16, "overhead_pct", AtMost(5.0), "profiler overhead regression"),
+    gate(E16, "sampling_overhead_pct", AtMost(25.0), "stack publication overhead regression"),
     gate(E16, "vm_instructions", NonZero, "profiler accounting regression"),
     gate(E16, "apps_profiled", AtLeast(2.0), "profiler attribution regression"),
     gate(E16, "distinct_stacks", NonZero, "profiler sampling regression"),
@@ -313,8 +314,8 @@ mod tests {
     const GOOD_FLAME: &str = "Main;Main.run 120\nMain 3\n";
 
     #[test]
-    fn the_table_holds_the_45_conditions() {
-        assert_eq!(GATES.len(), 45);
+    fn the_table_holds_the_46_conditions() {
+        assert_eq!(GATES.len(), 46);
         assert_eq!(
             failed_rows(&render(&passing_summaries(), GOOD_FLAME)),
             vec![]

@@ -534,7 +534,6 @@ pub(crate) fn spawn_app(rt: &MpRuntime, spec: ExecSpec) -> Result<Application> {
                 id.0,
                 spec.class_name.clone(),
                 spec.user.name(),
-                group.id(),
                 inner_rt.vm.obs().clone(),
             );
             rt.apply_user_limits(&context, spec.user.name());

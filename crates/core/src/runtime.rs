@@ -1,6 +1,6 @@
 use std::fmt;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use jmp_awt::{DispatchMode, DisplayServer, Toolkit};
 use jmp_security::{Permission, Policy, ProtectionDomain, ShardedMap, User, UserRegistry};
@@ -16,6 +16,10 @@ use crate::Result;
 
 /// Extension key under which the runtime registers itself with the VM.
 pub(crate) const EXTENSION_KEY: &str = "jmp.mpruntime";
+
+/// The longest [`MpRuntime::shutdown`] waits for the VM's threads to
+/// finish after interrupting them.
+const SHUTDOWN_GRACE: std::time::Duration = std::time::Duration::from_secs(5);
 
 /// Name of the per-application re-loaded system class (paper §5.5).
 pub const SYSTEM_CLASS: &str = "java.lang.System";
@@ -304,9 +308,11 @@ impl MpRuntimeBuilder {
         };
 
         // -- install the multi-processing hooks (host context: fully trusted)
+        // The VM finds its runtime through a `Weak`: the runtime owns the
+        // VM, so a strong reference here would keep both alive forever.
         vm.set_extension(
             EXTENSION_KEY,
-            Arc::clone(&inner) as Arc<dyn std::any::Any + Send + Sync>,
+            Arc::new(Arc::downgrade(&inner)) as Arc<dyn std::any::Any + Send + Sync>,
         )?;
         vm.set_security_manager(Arc::new(SystemSecurityManager::new()))?;
         if let Some(toolkit) = &rt.inner.toolkit {
@@ -349,9 +355,11 @@ impl MpRuntime {
         MpRuntime::of_vm(&vm)
     }
 
-    /// The runtime attached to `vm`, if one was built on it.
+    /// The runtime attached to `vm`, if one was built on it and a handle
+    /// to it is still live.
     pub fn of_vm(vm: &Vm) -> Option<MpRuntime> {
-        vm.extension::<RtInner>(EXTENSION_KEY)
+        vm.extension::<Weak<RtInner>>(EXTENSION_KEY)?
+            .upgrade()
             .map(|inner| MpRuntime { inner })
     }
 
@@ -575,9 +583,23 @@ impl MpRuntime {
         self.application_count() == 0
     }
 
-    /// Stops the whole runtime (VM shutdown).
+    /// Stops the whole runtime (VM shutdown): interrupts every VM thread
+    /// and waits, up to five seconds in all, for them to finish, so
+    /// that no runtime thread still holds the VM once this returns. The
+    /// runtime is freed when the last handle to it is dropped — on the
+    /// dropping thread, not on a runtime thread still unwinding. A thread
+    /// calling this from inside the VM is not waited for.
     pub fn shutdown(&self) {
-        self.inner.vm.exit_unchecked(0);
+        let vm = &self.inner.vm;
+        vm.exit_unchecked(0);
+        let me = jmp_vm::thread::current_id();
+        let deadline = std::time::Instant::now() + SHUTDOWN_GRACE;
+        for thread in vm.threads() {
+            if Some(thread.id()) != me {
+                let left = deadline.saturating_duration_since(std::time::Instant::now());
+                thread.join_timeout(left);
+            }
+        }
     }
 
     fn start_reaper(&self, queue: Arc<ReapQueue>) -> Result<()> {

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use jmp_security::{CodeSource, Permission};
+use jmp_security::{CodeSource, FileActions, Permission, SecurityError};
 use jmp_vm::thread::BLOCK_POLL;
 use jmp_vm::{InterpSnapshot, ResourceKind, RESOURCE_KINDS};
 use serde::{Deserialize, Serialize};
@@ -143,6 +143,24 @@ impl AppSnapshot {
 
 /// Recursively captures every regular file under `root` (as the system
 /// user — checkpoint is a privileged operation).
+/// Refuses a snapshot file that would land outside `home`: its path must be
+/// normalized (absolute, no `.`, `..` or empty components) and lie strictly
+/// under the home directory — the subtree the checkpoint side collects.
+/// The bytes come from another VM, and restore writes with system
+/// authority.
+fn check_home_path(path: &str, home: &str) -> Result<()> {
+    let inside = path
+        .strip_prefix(home)
+        .is_some_and(|rest| home == "/" || rest.starts_with('/'));
+    if jmp_vfs::normalize(path) == path && path != home && inside {
+        return Ok(());
+    }
+    Err(Error::Security(SecurityError::AccessDenied {
+        permission: Box::new(Permission::file(path, FileActions::WRITE)),
+        denied_by: format!("snapshot file outside {home}"),
+    }))
+}
+
 fn collect_subtree(rt: &MpRuntime, root: &str) -> Result<Vec<SnapFile>> {
     let system = rt.system_user().id();
     let vfs = rt.vfs();
@@ -266,7 +284,9 @@ impl MpRuntime {
     /// # Errors
     ///
     /// [`Error::Io`] on a malformed or version-mismatched image;
-    /// [`Error::Security`] without the permission or for an unknown user;
+    /// [`Error::Security`] without the permission, for an unknown user, or
+    /// for a file whose path is not normalized or lies outside the user's
+    /// home;
     /// [`Error::Vm`] if the embedded image fails verification here or the
     /// continuation fails [`InterpSnapshot::validate`]. A refused snapshot
     /// leaves the vfs, the ledgers and `apps.restored` untouched.
@@ -275,6 +295,9 @@ impl MpRuntime {
             .check_permission(&Permission::runtime("checkpointApplication"))?;
         let snap = AppSnapshot::from_bytes(bytes)?;
         let user = self.users().lookup(&snap.user)?;
+        for file in &snap.files {
+            check_home_path(&file.path, user.home())?;
+        }
         let limits: Vec<(ResourceKind, u64)> = snap
             .limits
             .iter()
@@ -463,6 +486,81 @@ mod tests {
         assert_eq!(app.wait_for().unwrap(), 0);
         assert!(rt.vfs().exists("/home/alice/notes.txt", system));
         rt.shutdown();
+    }
+
+    /// Restores a valid snapshot for alice carrying one extra file at
+    /// `path`, and checks that the restore is refused with a security
+    /// error before anything lands: no file written anywhere, no
+    /// application, and `apps.restored`, `apps.execed` and
+    /// `memory.charged` unchanged.
+    fn assert_refused_with_nothing_landed(path: &str) {
+        let rt = MpRuntime::builder()
+            .user("alice", "pw")
+            .user("bob", "pw")
+            .build()
+            .unwrap();
+        let metrics = Arc::clone(rt.vm().obs().vm_metrics());
+        let charged = metrics.counter("memory.charged").get();
+        let system = rt.system_user().id();
+        let mut hostile = snap();
+        hostile.interp.arena.push(jmp_vm::interp::Value::Null);
+        hostile.files.push(SnapFile {
+            path: path.into(),
+            data: b"grant user \"alice\" { permission all; };".to_vec(),
+        });
+        let err = rt.restore_app(&hostile.to_bytes().unwrap()).unwrap_err();
+        assert!(err.is_security(), "{path}: {err:?}");
+        for written in [
+            path,
+            "/home/bob/notes",
+            "/etc/policy.d/alice.policy",
+            "/home/alice/notes.txt",
+        ] {
+            assert!(!rt.vfs().exists(written, system), "{path} wrote {written}");
+        }
+        assert!(rt.applications().is_empty());
+        for (counter, before) in [
+            ("apps.restored", 0),
+            ("apps.execed", 0),
+            ("memory.charged", charged),
+        ] {
+            assert_eq!(metrics.counter(counter).get(), before, "{counter}");
+        }
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_snapshot_file_outside_the_home_is_refused() {
+        // Once the lazy user store loaded it, this file granted alice
+        // `setPolicy`.
+        assert_refused_with_nothing_landed("/etc/policy.d/alice.policy");
+    }
+
+    #[test]
+    fn a_snapshot_path_walking_out_of_the_home_is_refused() {
+        assert_refused_with_nothing_landed("/home/alice/../bob/notes");
+    }
+
+    #[test]
+    fn home_paths_must_be_normalized_and_inside() {
+        for ok in ["/home/alice/notes.txt", "/home/alice/a/b"] {
+            assert!(check_home_path(ok, "/home/alice").is_ok(), "{ok}");
+        }
+        for bad in [
+            "/home/alice",
+            "/home/alicex/notes",
+            "/home/alice/./notes",
+            "/home/alice//notes",
+            "/home/alice/notes/",
+            "home/alice/notes",
+            "/etc/passwd",
+        ] {
+            assert!(check_home_path(bad, "/home/alice").is_err(), "{bad}");
+        }
+        assert!(
+            check_home_path("/etc/motd", "/").is_ok(),
+            "the root home holds everything"
+        );
     }
 
     #[test]

@@ -835,7 +835,7 @@ mod tests {
         }
         crate::trace::clear();
         let loc = hub.profiler().register_thread(Some(2));
-        loc.publish(&[Arc::from("Applet.main")]);
+        loc.push(hub.profiler().intern("Applet.main"));
         hub.profiler().sample_once(10_000);
         let json = hub.export_chrome_trace();
         let doc: serde_json::Value = serde_json::from_str(&json).unwrap();

@@ -2,50 +2,60 @@
 //!
 //! Two collection modes share one report model:
 //!
-//! * **Exact per-opcode accounting.** The interpreter keeps a thread-local
-//!   tally (one array increment per dispatched instruction) and flushes it
-//!   here at safepoints as a *block*: per-opcode execution counts plus the
-//!   wall time the whole batch took. The profiler apportions the batch's
-//!   time across its opcodes by the installed weight model (see
-//!   [`Profiler::install_model`]) and feeds the per-execution estimate into
-//!   a per-opcode [`Histogram`], so reports carry p50/p95/p99 cost alongside
-//!   exact counts. Each block is attributed to the owning application (the
-//!   `AppContext` the executing thread carries) and to the VM-wide view.
+//! * **Exact per-opcode accounting.** The interpreter counts basic-block
+//!   entries (one add per block, see `jmp_vm::interp`) and, at safepoints,
+//!   expands them through each block's static opcode histogram into
+//!   per-opcode execution counts, which it flushes here as a *block*:
+//!   per-opcode counts plus the wall time the whole batch took. The
+//!   profiler apportions the batch's time across its opcodes by the
+//!   installed weight model (see [`Profiler::install_model`]) and feeds the
+//!   per-execution estimate into a per-opcode [`Histogram`], so reports
+//!   carry p50/p95/p99 cost alongside exact counts. Each block is
+//!   attributed to the owning application (the `AppContext` the executing
+//!   thread carries) and to the VM-wide view.
 //!
-//! * **Sampled stacks.** Each interpreter thread publishes its current
-//!   method/frame stack into a [`ThreadLoc`] slot. Publication never blocks:
-//!   the publisher replaces the slot's contents under a `try_lock`, so a
-//!   collision with the sampler drops one update and the next frame
-//!   transition re-publishes the full stack. A VM profiler thread calls
-//!   [`Profiler::sample_once`] periodically, folding every live slot into
-//!   weighted collapsed stacks (flamegraph.pl's `a;b;c weight` form) and a
-//!   bounded ring of Chrome trace instant events.
+//! * **Sampled stacks.** Each thread that runs attributable code owns a
+//!   [`ThreadLoc`] slot and pushes and pops its frames in place: a call
+//!   stores one interned label id ([`Profiler::intern`]) into a fixed slot
+//!   array, a return lowers the depth, and a per-slot sequence count (odd
+//!   while the owner writes) lets the sampler read a coherent stack without
+//!   a lock; a read that overlaps a write is retried. The publisher takes
+//!   no lock, allocates nothing and touches no shared refcount. A VM
+//!   profiler thread calls [`Profiler::sample_once`] periodically, folding
+//!   every live slot into weighted collapsed stacks (flamegraph.pl's
+//!   `a;b;c weight` form) and a bounded ring of Chrome trace instant events.
 //!
 //!   The tick is **two-tier** so its cost tracks *activity*, not fleet
-//!   size. A slot that republished since the last tick is scanned and
-//!   sampled normally. A slot whose stack has not moved is sampled one
-//!   last time and then *demoted*: it leaves the scan set and joins a
-//!   settled population counted per `(app, collapsed stack)`. Settled
-//!   threads keep accruing weight — in tick units, materialised into the
-//!   view tables lazily on report or when the slot republishes — but cost
-//!   the tick nothing. Ten thousand parked service mains blocked in the
-//!   same frame are one settled entry, not ten thousand scans every 10 ms;
-//!   re-sampling an unchanged stack adds no information, so none is lost.
+//!   size. A slot whose sequence count moved since the last tick is
+//!   scanned and sampled normally. A slot whose stack has not moved is
+//!   sampled one last time and then *demoted*: it leaves the scan set and
+//!   joins a settled population counted per `(app, collapsed stack)`.
+//!   Settled threads keep accruing weight — in tick units, materialised
+//!   into the view tables lazily on report or when the slot moves — but
+//!   cost the tick nothing. Ten thousand parked service mains blocked in
+//!   the same frame are one settled entry, not ten thousand scans every
+//!   10 ms; re-sampling an unchanged stack adds no information, so none is
+//!   lost.
 //!
-//! A live application's view grows with its work. When the application is
-//! reaped, [`Profiler::retire_app`] freezes its view into a FIFO of the
+//! A live application's view is created by its first flushed block or its
+//! first sample, not when one of its threads registers a slot, so an
+//! application that never runs interpreted code and is never caught
+//! on-stack costs the profiler nothing. When the application is reaped,
+//! [`Profiler::retire_app`] freezes its view into a FIFO of the
 //! [`REAPED_VIEWS`] most recently reaped; an older view is dropped, and the
 //! VM-wide view, which counted every block, is all that remains of it. A
 //! thread slot or settled population still holding a retired view bills
-//! only the VM-wide view from then on, so nothing re-creates it.
+//! only the VM-wide view from then on, and a slot first sampled after its
+//! application's reap bills only the VM-wide view too, so nothing
+//! re-creates a retired view.
 //!
 //! Writing into the profiler is free of permission checks, like the rest of
 //! the hub; reading a [`ProfileReport`] back out is gated behind
 //! `RuntimePermission("readProfile")` in the runtime layer, because one
 //! application's opcode mix is another's side channel.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
@@ -74,25 +84,62 @@ const MAX_STACKS: usize = 512;
 /// every reaped application's would grow without bound.
 pub const REAPED_VIEWS: usize = 64;
 
+/// Frames one [`ThreadLoc`] stores. A deeper stack keeps counting its
+/// depth; the sampler reads its outermost `MAX_FRAMES` frames.
+const MAX_FRAMES: usize = 128;
+
+/// Distinct frame labels the profiler interns. Past this, new labels share
+/// the `"(overflow)"` label (id 0), so label growth is bounded like the
+/// stack tables.
+const MAX_LABELS: usize = 1 << 16;
+
+/// Retirements remembered by application id, so a slot first sampled after
+/// its application's reap can tell. A slot that registered before the
+/// oldest remembered retirement and finds no view bills the VM only.
+const RETIRED_IDS: usize = 4096;
+
+/// Attempts the sampler makes to read a slot whose owner keeps writing it;
+/// after that the slot is skipped for this tick.
+const READ_ATTEMPTS: usize = 4;
+
+/// [`ThreadLoc::state`]: the slot is outside the scan set.
+const IDLE: u8 = 0;
+/// [`ThreadLoc::state`]: the slot is in the sampler's scan set.
+const SCANNED: u8 = 1;
+/// [`ThreadLoc::state`]: the slot is demoted into a settled population.
+const SETTLED: u8 = 2;
+
 /// One thread's published "current location": the frame stack the sampler
 /// reads. Created by [`Profiler::register_thread`]; the owning thread keeps
 /// the only strong reference besides the registry, so slot lifetime follows
 /// thread lifetime.
+///
+/// Only the owning thread calls [`ThreadLoc::push`] and [`ThreadLoc::pop`]:
+/// each writes one frame slot and the depth between two bumps of a
+/// sequence count, and costs a few plain stores and one load of the slot's
+/// scan state. Enrolling in the scan set (the first frame) and leaving a
+/// settled population are the only publisher paths that take a lock.
 pub struct ThreadLoc {
     thread: u64,
     app: Option<u64>,
-    /// The application's view, resolved at registration so the sampler
-    /// bills it without a lookup — and cannot re-create it once retired.
-    view: Option<AppTable>,
-    frames: Mutex<Vec<Arc<str>>>,
-    /// Whether the slot is currently in the sampler's scan set. Entered on
-    /// the first non-empty publication — a thread that never interprets
-    /// never enrolls — and left again when the stack settles.
-    enrolled: AtomicBool,
-    /// Set by every publication, cleared by the sampler tick. Still clear
-    /// at the next tick means the stack has not moved: the slot is demoted
+    /// The profiler's retirement count when the slot registered: a
+    /// retirement of `app` after it means the application is gone.
+    born: u64,
+    /// The application's view, resolved by the sampler on the slot's first
+    /// sample (`None` until then) — so the sampler bills it without a
+    /// lookup afterwards, and cannot re-create it once retired.
+    view: Mutex<Option<Option<AppTable>>>,
+    /// Even while the stack is stable, odd while the owner rewrites it.
+    seq: AtomicU64,
+    depth: AtomicUsize,
+    frames: [AtomicU32; MAX_FRAMES],
+    /// [`IDLE`], [`SCANNED`] or [`SETTLED`]. The owner's fast path reads
+    /// it once per push or pop and takes the slow path unless `SCANNED`.
+    state: AtomicU8,
+    /// The sequence count the sampler read at its last tick. Unchanged at
+    /// the next tick means the stack has not moved: the slot is demoted
     /// from per-tick scanning into the settled population.
-    dirty: AtomicBool,
+    seen: AtomicU64,
     /// The collapsed stack key this slot is settled under, if demoted.
     settled: Mutex<Option<String>>,
     registry: Weak<ProfilerInner>,
@@ -110,36 +157,115 @@ impl ThreadLoc {
         self.app
     }
 
-    /// Replaces the published stack wholesale. Publisher-side wait-free: a
-    /// `try_lock` miss (the sampler is mid-read) drops this update, and the
-    /// next frame transition publishes the then-current stack. The first
-    /// non-empty publication enrolls the slot in the sampler's scan set —
-    /// until then the sampler does not know the thread exists, which is
-    /// what keeps the per-tick cost proportional to interpreting threads
-    /// rather than to the whole fleet.
-    pub fn publish(&self, frames: &[Arc<str>]) {
-        let published = if let Some(mut slot) = self.frames.try_lock() {
-            slot.clear();
-            slot.extend(frames.iter().cloned());
-            !slot.is_empty()
-        } else {
+    /// Frames currently pushed.
+    pub fn depth(&self) -> usize {
+        self.depth.load(Ordering::Relaxed)
+    }
+
+    /// Pushes the frame `label` (an id from [`Profiler::intern`]). Owner
+    /// thread only. The first frame enrolls the slot in the sampler's scan
+    /// set — until then the sampler does not know the thread exists, which
+    /// keeps the per-tick cost proportional to interpreting threads rather
+    /// than to the whole fleet.
+    pub fn push(&self, label: u32) {
+        let depth = self.depth.load(Ordering::Relaxed);
+        let seq = self.begin_write();
+        if let Some(frame) = self.frames.get(depth) {
+            frame.store(label, Ordering::Relaxed);
+        }
+        self.depth.store(depth + 1, Ordering::Relaxed);
+        self.end_write(seq);
+    }
+
+    /// Pops the newest frame. Owner thread only.
+    pub fn pop(&self) {
+        let depth = self.depth.load(Ordering::Relaxed);
+        let seq = self.begin_write();
+        self.depth.store(depth.saturating_sub(1), Ordering::Relaxed);
+        self.end_write(seq);
+    }
+
+    /// Marks the slot as being written (odd sequence count). The owner is
+    /// the only writer of `seq`, `depth` and `frames`; its release fence
+    /// here and its release store in [`ThreadLoc::end_write`] pair with the
+    /// sampler's acquire load and acquire fence in `read_stack`, so a read
+    /// that saw any store of this write also sees the sequence count move
+    /// and is retried.
+    fn begin_write(&self) -> u64 {
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
+        fence(Ordering::Release);
+        seq
+    }
+
+    /// Publishes the write (even sequence count) and, if the slot is not
+    /// in the scan set, enrolls or unsettles it.
+    fn end_write(&self, seq: u64) {
+        self.seq.store(seq.wrapping_add(2), Ordering::Release);
+        if self.state.load(Ordering::Relaxed) != SCANNED {
+            self.attend();
+        }
+    }
+
+    /// The publisher's slow path. A settled slot that moves leaves its
+    /// settled population, materialising its owed idle weight under the
+    /// *old* key first; a slot with frames rejoins the scan set. The
+    /// settled guard is released before touching the scan list — the
+    /// sampler takes those locks in the opposite order.
+    #[cold]
+    fn attend(&self) {
+        let Some(registry) = self.registry.upgrade() else {
             return;
         };
-        self.dirty.store(true, Ordering::Relaxed);
-        // A settled slot that moves rejoins the scan set; its owed idle
-        // weight is materialised under the *old* key first. The settled
-        // guard is released before touching the scan list — the sampler
-        // takes those locks in the opposite order.
-        if let Some(key) = self.settled.lock().take() {
-            if let Some(registry) = self.registry.upgrade() {
-                unsettle(&registry, self.app, key);
+        let key = self.settled.lock().take();
+        if let Some(key) = key {
+            unsettle(&registry, self.app, key);
+        }
+        if self.depth.load(Ordering::Relaxed) == 0 {
+            let _ = self
+                .state
+                .compare_exchange(SETTLED, IDLE, Ordering::AcqRel, Ordering::Relaxed);
+        } else if self.state.swap(SCANNED, Ordering::AcqRel) != SCANNED {
+            registry.threads.lock().push(self.me.clone());
+        }
+    }
+
+    /// Reads a coherent copy of the stack into `out` and returns the
+    /// sequence count it was read at, or `None` if the owner kept writing
+    /// through every attempt.
+    fn read_stack(&self, out: &mut Vec<u32>) -> Option<u64> {
+        self.read_stack_between(out, || {})
+    }
+
+    /// [`ThreadLoc::read_stack`], running `between` after each attempt
+    /// reads the depth and before it reads the frames: where a test lands
+    /// an owner's write to check that the read is retried, not torn.
+    fn read_stack_between(&self, out: &mut Vec<u32>, mut between: impl FnMut()) -> Option<u64> {
+        for _ in 0..READ_ATTEMPTS {
+            let seq = self.seq.load(Ordering::Acquire);
+            if seq & 1 == 1 {
+                std::hint::spin_loop();
+                continue;
+            }
+            let depth = self.depth.load(Ordering::Relaxed).min(MAX_FRAMES);
+            between();
+            out.clear();
+            out.extend(
+                self.frames[..depth]
+                    .iter()
+                    .map(|f| f.load(Ordering::Relaxed)),
+            );
+            fence(Ordering::Acquire);
+            if self.seq.load(Ordering::Relaxed) == seq {
+                return Some(seq);
             }
         }
-        if published && !self.enrolled.swap(true, Ordering::Relaxed) {
-            if let Some(registry) = self.registry.upgrade() {
-                registry.threads.lock().push(self.me.clone());
-            }
-        }
+        None
+    }
+
+    /// Whether the owner wrote since the sampler read sequence count `seq`.
+    fn moved_since(&self, seq: u64) -> bool {
+        self.seq.load(Ordering::Acquire) != seq
     }
 }
 
@@ -160,7 +286,25 @@ impl std::fmt::Debug for ThreadLoc {
         f.debug_struct("ThreadLoc")
             .field("thread", &self.thread)
             .field("app", &self.app)
+            .field("depth", &self.depth())
             .finish()
+    }
+}
+
+/// The interned frame labels: id → name for the sampler, name → id for
+/// [`Profiler::intern`]. Id 0 is `"(overflow)"`.
+struct Labels {
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, u32>,
+}
+
+impl Default for Labels {
+    fn default() -> Labels {
+        let overflow: Arc<str> = Arc::from("(overflow)");
+        Labels {
+            names: vec![Arc::clone(&overflow)],
+            ids: HashMap::from([(overflow, 0)]),
+        }
     }
 }
 
@@ -192,6 +336,25 @@ type AppTable = Arc<Mutex<ViewTable>>;
 struct AppViews {
     live: BTreeMap<u64, AppTable>,
     reaped: VecDeque<(u64, AppTable)>,
+    /// The [`RETIRED_IDS`] most recent retirements, oldest first, as
+    /// `(app, retirement number)`.
+    retired: VecDeque<(u64, u64)>,
+    /// The retirement number of the newest retirement `retired` has
+    /// forgotten (0 = none).
+    forgotten: u64,
+}
+
+impl AppViews {
+    /// Whether `app` may have been retired after a slot registered at
+    /// retirement count `born`: a remembered retirement of it since then,
+    /// or any forgotten one (which cannot be ruled out).
+    fn retired_since(&self, app: u64, born: u64) -> bool {
+        self.forgotten > born
+            || self
+                .retired
+                .iter()
+                .any(|&(id, number)| id == app && number > born)
+    }
 }
 
 impl ViewTable {
@@ -246,7 +409,7 @@ struct SampleEvent {
 /// One settled population: `count` demoted threads share this exact
 /// collapsed stack and have accrued nothing since `settle_tick`. Their
 /// owed weight (`count × elapsed ticks × tick interval`) is materialised
-/// into the view tables lazily — on report, or when a member republishes
+/// into the view tables lazily — on report, or when a member moves
 /// or exits — so the population costs the sampler tick nothing.
 struct SettledEntry {
     count: u64,
@@ -260,8 +423,11 @@ struct ProfilerInner {
     sampling: AtomicBool,
     clock: ObsClock,
     model: RwLock<OpcodeModel>,
+    labels: RwLock<Labels>,
     vm: Mutex<ViewTable>,
     apps: RwLock<AppViews>,
+    /// Applications retired so far; bumped under the `apps` write lock.
+    retirements: AtomicU64,
     threads: Mutex<Vec<Weak<ThreadLoc>>>,
     settled: Mutex<BTreeMap<(Option<u64>, String), SettledEntry>>,
     tick: AtomicU64,
@@ -291,6 +457,26 @@ fn materialize(inner: &ProfilerInner, key: &str, entry: &mut SettledEntry) {
         .fetch_add(owed_ticks * entry.count, Ordering::Relaxed);
 }
 
+/// Moves `loc` out of the scan set into `to` ([`IDLE`] or [`SETTLED`]),
+/// unless its owner wrote after the sampler read sequence count `seq`:
+/// then the slot is moving, stays (or is put back) in the scan set, and
+/// `false` is returned. This narrows the demotion race: a push that
+/// slipped in after the read would otherwise strand a moving thread outside
+/// the scan. (A push whose scan-state load overtakes the sampler's store is
+/// still missed; the slot then leaves its population at the owner's next
+/// push or pop.) If the owner's own slow path already put the slot back, it
+/// re-enrolls it itself, and `true` is returned so the sampler does not add
+/// it twice.
+fn leave_scan(loc: &ThreadLoc, seq: u64, to: u8) -> bool {
+    loc.state.store(to, Ordering::SeqCst);
+    if !loc.moved_since(seq) {
+        return true;
+    }
+    loc.state
+        .compare_exchange(to, SCANNED, Ordering::AcqRel, Ordering::Relaxed)
+        .is_err()
+}
+
 /// Removes one thread from the settled population under `key`, first
 /// materialising what the entry is owed.
 fn unsettle(inner: &ProfilerInner, app: Option<u64>, key: String) {
@@ -317,6 +503,31 @@ fn inner_app_table(inner: &ProfilerInner, app: u64) -> AppTable {
         views.reaped.retain(|(id, _)| *id != app);
     }
     Arc::clone(views.live.entry(app).or_default())
+}
+
+/// The view `loc`'s samples bill, resolved on its first sample: its
+/// application's live view (created if need be), or none — the VM bucket
+/// only — for a detached thread or an application retired since the slot
+/// registered.
+fn slot_view(inner: &ProfilerInner, loc: &ThreadLoc) -> Option<AppTable> {
+    let app = loc.app?;
+    let mut view = loc.view.lock();
+    if let Some(resolved) = &*view {
+        return resolved.clone();
+    }
+    let resolved = {
+        let mut views = inner.apps.write();
+        if let Some(table) = views.live.get(&app) {
+            Some(Arc::clone(table))
+        } else if views.retired_since(app, loc.born) {
+            None
+        } else {
+            views.reaped.retain(|(id, _)| *id != app);
+            Some(Arc::clone(views.live.entry(app).or_default()))
+        }
+    };
+    *view = Some(resolved.clone());
+    resolved
 }
 
 /// The profiler. Cheap handle; clones share state. Both collection modes
@@ -349,8 +560,10 @@ impl Profiler {
                 sampling: AtomicBool::new(true),
                 clock,
                 model: RwLock::new(OpcodeModel::default()),
+                labels: RwLock::new(Labels::default()),
                 vm: Mutex::new(ViewTable::default()),
                 apps: RwLock::new(AppViews::default()),
+                retirements: AtomicU64::new(0),
                 threads: Mutex::new(Vec::new()),
                 settled: Mutex::new(BTreeMap::new()),
                 tick: AtomicU64::new(0),
@@ -379,7 +592,8 @@ impl Profiler {
     }
 
     /// Turns stack sampling on or off (the sampler thread keeps running and
-    /// re-checks per tick; publishers stop publishing).
+    /// re-checks per tick; threads stop pushing frames, and pop the ones
+    /// they pushed while it was on).
     pub fn set_sampling(&self, enabled: bool) {
         self.inner.sampling.store(enabled, Ordering::Relaxed);
     }
@@ -451,21 +665,47 @@ impl Profiler {
         self.inner.flushes.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Interns a frame label (`Class` or `Class.method`) and returns its
+    /// id for [`ThreadLoc::push`]. Ids are stable for the profiler's
+    /// lifetime ([`Profiler::reset`] keeps them); callers cache them, so a
+    /// label is interned once, not once per call.
+    pub fn intern(&self, label: &str) -> u32 {
+        if let Some(&id) = self.inner.labels.read().ids.get(label) {
+            return id;
+        }
+        let mut labels = self.inner.labels.write();
+        if let Some(&id) = labels.ids.get(label) {
+            return id;
+        }
+        if labels.names.len() >= MAX_LABELS {
+            return 0;
+        }
+        let id = labels.names.len() as u32;
+        let name: Arc<str> = Arc::from(label);
+        labels.names.push(Arc::clone(&name));
+        labels.ids.insert(name, id);
+        id
+    }
+
     /// Registers the calling thread's location slot, billed to `app`
     /// (`None` = the VM bucket, e.g. detached threads). The returned slot
-    /// is what the thread publishes its frame stack into; dropping it
-    /// (thread exit) retires the slot at the next sampler tick. The slot
-    /// only enters the sampler's scan set on its first non-empty
-    /// [`ThreadLoc::publish`]: threads that never run interpreted code —
-    /// e.g. ten thousand parked service mains — add nothing to the tick.
+    /// is what the thread pushes its frames into; dropping it (thread exit)
+    /// retires the slot at the next sampler tick. The slot only enters the
+    /// sampler's scan set on its first [`ThreadLoc::push`], and the
+    /// application's view is only created by its first block or sample:
+    /// threads that never run interpreted code — e.g. ten thousand parked
+    /// service mains — add nothing to the tick or to the view tables.
     pub fn register_thread(&self, app: Option<u64>) -> Arc<ThreadLoc> {
         Arc::new_cyclic(|me| ThreadLoc {
             thread: trace::thread_ordinal(),
             app,
-            view: app.map(|app| inner_app_table(&self.inner, app)),
-            frames: Mutex::new(Vec::new()),
-            enrolled: AtomicBool::new(false),
-            dirty: AtomicBool::new(false),
+            born: self.inner.retirements.load(Ordering::Acquire),
+            view: Mutex::new(None),
+            seq: AtomicU64::new(0),
+            depth: AtomicUsize::new(0),
+            frames: std::array::from_fn(|_| AtomicU32::new(0)),
+            state: AtomicU8::new(IDLE),
+            seen: AtomicU64::new(0),
             settled: Mutex::new(None),
             registry: Arc::downgrade(&self.inner),
             me: me.clone(),
@@ -474,9 +714,9 @@ impl Profiler {
 
     /// Takes one sampling pass over the *active* scan set, weighting each
     /// observed stack by `interval_us` (the time since the previous pass).
-    /// A slot that did not republish since the last tick is sampled one
-    /// final time and demoted to the settled population; it rejoins the
-    /// scan on its next publication. Returns how many threads were scanned
+    /// A slot that did not move since the last tick is sampled one final
+    /// time and demoted to the settled population; it rejoins the scan on
+    /// its next push or pop. Returns how many threads were scanned
     /// on-stack this tick (settled threads accrue out of band). Called by
     /// the VM profiler thread; a no-op while sampling is off.
     pub fn sample_once(&self, interval_us: u64) -> usize {
@@ -487,6 +727,7 @@ impl Profiler {
         inner.last_interval.store(interval_us, Ordering::Relaxed);
         let tick = inner.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut sampled = 0;
+        let mut ids = Vec::with_capacity(MAX_FRAMES);
         // The scan set holds only recently-active threads, so the table
         // work can stay under the scan lock; publishers touch it solely on
         // enrollment, after releasing every other profiler lock.
@@ -494,29 +735,34 @@ impl Profiler {
         let mut keep = Vec::with_capacity(threads.len());
         for weak in threads.drain(..) {
             let Some(loc) = weak.upgrade() else { continue };
-            let frames = loc.frames.lock().clone();
-            let dirty = loc.dirty.swap(false, Ordering::Relaxed);
-            if frames.is_empty() {
+            let Some(seq) = loc.read_stack(&mut ids) else {
+                // The owner is mid-write on every attempt: it is moving,
+                // so it stays in the scan and is read next tick.
+                keep.push(weak);
+                continue;
+            };
+            let dirty = loc.seen.swap(seq, Ordering::Relaxed) != seq;
+            if ids.is_empty() {
                 // A cleared stack costs nothing to keep for one quiet
-                // tick; after that the slot leaves the scan until it
-                // publishes again.
-                if dirty {
+                // tick; after that the slot leaves the scan until its
+                // next push.
+                if dirty || !leave_scan(&loc, seq, IDLE) {
                     keep.push(weak);
-                } else {
-                    loc.enrolled.store(false, Ordering::Relaxed);
                 }
                 continue;
             }
-            let key = frames
-                .iter()
-                .map(|f| f.as_ref())
-                .collect::<Vec<&str>>()
-                .join(";");
+            let (key, top) = {
+                let labels = inner.labels.read();
+                let name = |id: &u32| labels.names.get(*id as usize).map_or("?", |n| &**n);
+                let key = ids.iter().map(name).collect::<Vec<&str>>().join(";");
+                let top = ids.last().map_or(String::new(), |id| name(id).to_string());
+                (key, top)
+            };
+            let view = slot_view(inner, &loc);
             inner.vm.lock().add_sample(&key, interval_us);
-            if let Some(view) = &loc.view {
+            if let Some(view) = &view {
                 view.lock().add_sample(&key, interval_us);
             }
-            let top = frames.last().map_or(String::new(), |f| f.to_string());
             let mut events = inner.events.lock();
             if events.len() >= MAX_SAMPLE_EVENTS {
                 events.pop_front();
@@ -544,21 +790,17 @@ impl Profiler {
                     .or_insert_with(|| SettledEntry {
                         count: 0,
                         settle_tick: tick,
-                        view: loc.view.clone(),
+                        view,
                     });
                 materialize(inner, &key, entry);
                 entry.count += 1;
                 *loc.settled.lock() = Some(key);
             }
-            loc.enrolled.store(false, Ordering::Relaxed);
-            // Close the demotion race: a publication that slipped in after
-            // the dirty check would otherwise strand a moving thread in
-            // the settled population.
-            if loc.dirty.load(Ordering::Relaxed) {
-                if let Some(key) = loc.settled.lock().take() {
+            if !leave_scan(&loc, seq, SETTLED) {
+                let key = loc.settled.lock().take();
+                if let Some(key) = key {
                     unsettle(inner, loc.app, key);
                 }
-                loc.enrolled.store(true, Ordering::Relaxed);
                 keep.push(weak);
             }
         }
@@ -647,6 +889,13 @@ impl Profiler {
     /// settled population — bills only the VM-wide view from now on.
     pub fn retire_app(&self, app: u64) {
         let mut views = self.inner.apps.write();
+        let number = self.inner.retirements.fetch_add(1, Ordering::AcqRel) + 1;
+        views.retired.push_back((app, number));
+        if views.retired.len() > RETIRED_IDS {
+            if let Some((_, forgotten)) = views.retired.pop_front() {
+                views.forgotten = forgotten;
+            }
+        }
         let Some(table) = views.live.remove(&app) else {
             return;
         };
@@ -844,6 +1093,17 @@ mod tests {
         p.install_model(&["alpha", "beta", "gamma"], &[1, 1, 10]);
     }
 
+    /// Replaces `loc`'s stack with `frames`, as the owner's returns and
+    /// calls would.
+    fn set_stack(p: &Profiler, loc: &ThreadLoc, frames: &[&str]) {
+        while loc.depth() > 0 {
+            loc.pop();
+        }
+        for frame in frames {
+            loc.push(p.intern(frame));
+        }
+    }
+
     #[test]
     fn blocks_bill_the_app_and_the_vm() {
         let p = Profiler::new();
@@ -883,10 +1143,10 @@ mod tests {
     fn sampler_collects_weighted_collapsed_stacks() {
         let p = Profiler::new();
         let loc = p.register_thread(Some(3));
-        loc.publish(&[Arc::from("Applet.main"), Arc::from("Applet.tick")]);
+        set_stack(&p, &loc, &["Applet.main", "Applet.tick"]);
         assert_eq!(p.sample_once(10_000), 1);
         assert_eq!(p.sample_once(10_000), 1);
-        loc.publish(&[Arc::from("Applet.main")]);
+        set_stack(&p, &loc, &["Applet.main"]);
         assert_eq!(p.sample_once(10_000), 1);
         let report = p.report();
         assert_eq!(report.samples_taken, 3);
@@ -896,7 +1156,7 @@ mod tests {
         assert!(flame.contains("Applet.main;Applet.tick 20000\n"), "{flame}");
         assert_eq!(report.flamegraph(Some(99)), "");
         // Empty stacks are not sampled; a dropped slot retires.
-        loc.publish(&[]);
+        set_stack(&p, &loc, &[]);
         assert_eq!(p.sample_once(10_000), 0);
         drop(loc);
         assert_eq!(p.sample_once(10_000), 0);
@@ -908,7 +1168,7 @@ mod tests {
         let locs: Vec<_> = (0..100)
             .map(|i| {
                 let loc = p.register_thread(Some(i));
-                loc.publish(&[Arc::from("Svc.main")]);
+                set_stack(&p, &loc, &["Svc.main"]);
                 loc
             })
             .collect();
@@ -922,7 +1182,7 @@ mod tests {
         assert_eq!(report.vm.stacks["Svc.main"], 100 * 4 * 10_000);
         assert_eq!(report.view(Some(7)).unwrap().stacks["Svc.main"], 4 * 10_000);
         // Republication re-enters the scan under the new key.
-        locs[0].publish(&[Arc::from("Svc.main"), Arc::from("Svc.work")]);
+        set_stack(&p, &locs[0], &["Svc.main", "Svc.work"]);
         assert_eq!(p.sample_once(10_000), 1);
         // Exiting settled threads drain the population cleanly.
         drop(locs);
@@ -933,7 +1193,7 @@ mod tests {
     fn sampling_off_is_a_no_op() {
         let p = Profiler::new();
         let loc = p.register_thread(None);
-        loc.publish(&[Arc::from("X.m")]);
+        set_stack(&p, &loc, &["X.m"]);
         p.set_sampling(false);
         assert_eq!(p.sample_once(10_000), 0);
         assert_eq!(p.samples_taken(), 0);
@@ -943,7 +1203,7 @@ mod tests {
     fn chrome_events_are_instant_profile_events() {
         let p = Profiler::new();
         let loc = p.register_thread(Some(4));
-        loc.publish(&[Arc::from("A.main"), Arc::from("A.work")]);
+        set_stack(&p, &loc, &["A.main", "A.work"]);
         p.sample_once(5_000);
         let json = chrome_trace_doc(p.chrome_events());
         let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
@@ -960,7 +1220,7 @@ mod tests {
         model(&p);
         p.record_block(Some(1), &[3, 0, 0], 100);
         let loc = p.register_thread(Some(1));
-        loc.publish(&[Arc::from("A.main")]);
+        set_stack(&p, &loc, &["A.main"]);
         p.sample_once(1_000);
         p.reset();
         let report = p.report();
@@ -1010,18 +1270,18 @@ mod tests {
         model(&p);
         let moving = p.register_thread(Some(1));
         let parked = p.register_thread(Some(1));
-        let work = [Arc::from("A.main"), Arc::from("A.work")];
-        moving.publish(&work);
-        parked.publish(&[Arc::from("A.main")]);
+        let work = ["A.main", "A.work"];
+        set_stack(&p, &moving, &work);
+        set_stack(&p, &parked, &["A.main"]);
         assert_eq!(p.sample_once(10_000), 2);
-        moving.publish(&work);
+        set_stack(&p, &moving, &work);
         // `parked` did not move: sampled once more and settled.
         assert_eq!(p.sample_once(10_000), 2);
         let before = p.report().view(Some(1)).cloned().expect("app 1 has a view");
         p.retire_app(1);
         // Inside the window the view stays as it was at retirement: the
         // moving thread's tick and the settled accrual bill the VM only.
-        moving.publish(&work);
+        set_stack(&p, &moving, &work);
         assert_eq!(p.sample_once(10_000), 1);
         let report = p.report();
         assert_eq!(report.view(Some(1)), Some(&before));
@@ -1033,7 +1293,7 @@ mod tests {
             p.retire_app(app);
         }
         assert!(p.report().view(Some(1)).is_none());
-        moving.publish(&work);
+        set_stack(&p, &moving, &work);
         assert_eq!(p.sample_once(10_000), 1);
         drop(parked);
         drop(moving);
@@ -1049,12 +1309,104 @@ mod tests {
         model(&p);
         p.record_block(Some(2), &[1, 2, 3], 600);
         let loc = p.register_thread(Some(2));
-        loc.publish(&[Arc::from("B.main")]);
+        set_stack(&p, &loc, &["B.main"]);
         p.sample_once(10_000);
         let report = p.report();
         let json = serde_json::to_string(&report).unwrap();
         let back: ProfileReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn registering_a_thread_creates_no_view() {
+        let p = Profiler::new();
+        let loc = p.register_thread(Some(5));
+        set_stack(&p, &loc, &["Svc.main"]);
+        set_stack(&p, &loc, &[]);
+        assert!(p.inner.apps.read().live.is_empty(), "no block, no sample");
+        set_stack(&p, &loc, &["Svc.main"]);
+        assert_eq!(p.sample_once(10_000), 1);
+        assert_eq!(p.report().view(Some(5)).unwrap().stacks["Svc.main"], 10_000);
+    }
+
+    #[test]
+    fn a_slot_first_sampled_after_its_app_retired_bills_only_the_vm() {
+        let p = Profiler::new();
+        let loc = p.register_thread(Some(8));
+        p.retire_app(8);
+        set_stack(&p, &loc, &["Late.main"]);
+        assert_eq!(p.sample_once(10_000), 1);
+        let report = p.report();
+        assert!(report.view(Some(8)).is_none());
+        assert_eq!(report.vm.stacks["Late.main"], 10_000);
+        // A slot registered after the retirement belongs to an id that
+        // came back (a restore under its old id) and starts a fresh view.
+        let back = p.register_thread(Some(8));
+        set_stack(&p, &back, &["Back.main"]);
+        assert_eq!(p.sample_once(10_000), 2);
+        assert_eq!(
+            p.report().view(Some(8)).unwrap().stacks["Back.main"],
+            10_000
+        );
+    }
+
+    #[test]
+    fn labels_intern_once() {
+        let p = Profiler::new();
+        let a = p.intern("A.main");
+        assert_eq!(p.intern("A.main"), a);
+        assert_ne!(p.intern("B.main"), a);
+        p.reset();
+        assert_eq!(p.intern("A.main"), a, "reset keeps label ids");
+    }
+
+    #[test]
+    fn frames_deeper_than_the_slot_keep_their_depth() {
+        let p = Profiler::new();
+        let loc = p.register_thread(None);
+        let id = p.intern("R.deep");
+        for _ in 0..MAX_FRAMES + 10 {
+            loc.push(id);
+        }
+        assert_eq!(loc.depth(), MAX_FRAMES + 10);
+        assert_eq!(p.sample_once(10_000), 1);
+        let key = vec!["R.deep"; MAX_FRAMES].join(";");
+        assert_eq!(p.report().vm.stacks[&key], 10_000);
+        for _ in 0..MAX_FRAMES + 10 {
+            loc.pop();
+        }
+        assert_eq!(loc.depth(), 0);
+    }
+
+    #[test]
+    fn a_read_overlapping_a_write_is_retried_not_torn() {
+        // main;a;b becomes main;c between the read of the depth (3) and the
+        // reads of the frames, leaving b behind in the third slot: a read
+        // that trusted the depth would report main;c;b, which never existed.
+        let p = Profiler::new();
+        let loc = p.register_thread(None);
+        let [main, a, b, c] = ["T.main", "T.a", "T.b", "T.c"].map(|l| p.intern(l));
+        for id in [main, a, b] {
+            loc.push(id);
+        }
+        let mut first = true;
+        let mut out = Vec::new();
+        let read = loc.read_stack_between(&mut out, || {
+            if std::mem::take(&mut first) {
+                loc.pop();
+                loc.pop();
+                loc.push(c);
+            }
+        });
+        assert!(read.is_some());
+        assert_eq!(out, [main, c]);
+        // An owner that writes through every attempt gets skipped this
+        // tick, never misread.
+        let read = loc.read_stack_between(&mut out, || {
+            loc.push(a);
+            loc.pop();
+        });
+        assert_eq!(read, None);
     }
 
     #[test]

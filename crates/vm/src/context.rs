@@ -28,7 +28,6 @@ use jmp_obs::ObsHub;
 use parking_lot::{Mutex, RwLock};
 
 use crate::error::VmError;
-use crate::group::GroupId;
 use crate::interp::Value;
 use crate::snapshot::InterpSnapshot;
 
@@ -218,9 +217,9 @@ pub type HardBreachHook = Box<dyn Fn(&AppContext) + Send + Sync>;
 /// attributed to an application.
 pub const APP_ARENA_POOL_CAP: usize = 8;
 
-/// The single per-application ownership record: identity (app id, user,
-/// root thread group) plus live resource accounting ([`ResourceLedger`])
-/// and quotas ([`ResourceLimits`]).
+/// The single per-application ownership record: identity (app id, name,
+/// user) plus live resource accounting ([`ResourceLedger`]) and quotas
+/// ([`ResourceLimits`]).
 ///
 /// One context is interned per application by the multi-processing runtime;
 /// every thread the application owns carries an `Arc` to it (see
@@ -232,7 +231,6 @@ pub struct AppContext {
     /// The running user, swapped whole by [`AppContext::set_user`]; a read
     /// is one refcount bump, never an allocation.
     user: RwLock<Arc<str>>,
-    group: GroupId,
     ledger: ResourceLedger,
     limits: ResourceLimits,
     breaches: AtomicU64,
@@ -265,20 +263,18 @@ impl fmt::Debug for AppContext {
             .field("app_id", &self.app_id)
             .field("name", &self.name)
             .field("user", &*self.user.read())
-            .field("group", &self.group)
             .finish_non_exhaustive()
     }
 }
 
 impl AppContext {
-    /// Creates a context for application `app_id` rooted at `group`,
-    /// reporting denials through `hub`. The application's metrics registry
+    /// Creates a context for application `app_id`, reporting denials
+    /// through `hub`. The application's metrics registry
     /// in `hub` is created here if it does not exist yet.
     pub fn new(
         app_id: u64,
         name: impl Into<String>,
         user: impl Into<Arc<str>>,
-        group: GroupId,
         hub: ObsHub,
     ) -> Arc<AppContext> {
         let name = name.into();
@@ -289,7 +285,6 @@ impl AppContext {
             app_id,
             name,
             user: RwLock::new(user.into()),
-            group,
             ledger: ResourceLedger::new(),
             limits: ResourceLimits::default(),
             breaches: AtomicU64::new(0),
@@ -331,11 +326,6 @@ impl AppContext {
     /// The application's `security.checks` counter.
     pub(crate) fn security_checks(&self) -> &jmp_obs::Counter {
         &self.security_checks
-    }
-
-    /// The application's root thread group.
-    pub fn group(&self) -> GroupId {
-        self.group
     }
 
     /// The live-usage ledger.
@@ -504,7 +494,7 @@ mod tests {
     use super::*;
 
     fn ctx() -> Arc<AppContext> {
-        AppContext::new(7, "Demo", "alice", GroupId(3), ObsHub::new())
+        AppContext::new(7, "Demo", "alice", ObsHub::new())
     }
 
     #[test]
@@ -571,7 +561,7 @@ mod tests {
     #[test]
     fn memory_denials_bump_typed_counters() {
         let hub = ObsHub::new();
-        let ctx = AppContext::new(11, "Bomb", "mallory", GroupId(5), hub.clone());
+        let ctx = AppContext::new(11, "Bomb", "mallory", hub.clone());
         ctx.limits().set(ResourceKind::Memory, 1024);
         ctx.try_charge(ResourceKind::Memory, 1000).unwrap();
         assert_eq!(hub.vm_metrics().counter("memory.charged").get(), 1000);
@@ -623,7 +613,7 @@ mod tests {
     #[test]
     fn denials_are_counted_and_audited() {
         let hub = ObsHub::new();
-        let ctx = AppContext::new(9, "Evil", "mallory", GroupId(4), hub.clone());
+        let ctx = AppContext::new(9, "Evil", "mallory", hub.clone());
         hub.app_registry(9, "Evil");
         ctx.limits().set(ResourceKind::PipeBytes, 10);
         assert!(ctx.try_charge(ResourceKind::PipeBytes, 11).is_err());

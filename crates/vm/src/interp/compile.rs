@@ -24,6 +24,20 @@
 //!   verifier's abstract interpretation), so the interpreter can run every
 //!   frame inside one contiguous reusable arena with no per-push bounds
 //!   growth.
+//! * **Basic blocks** — a block starts at a method entry, at a jump target,
+//!   or after any branch, call or return, and runs to the next branch,
+//!   call or return. Each method keeps its blocks with their static
+//!   histograms of compiled op codes, and each branch op carries the id of
+//!   a counter for its taken edge (method entries have counters too). The
+//!   interpreter's opcode accounting adds one to a counter per taken jump
+//!   and per call, and a flush derives every block's entries from them —
+//!   an entry by falling in (a branch not taken, a return to the op after
+//!   the call) is the previous block's executions less its taken exits —
+//!   and expands the entries through the histograms into exact per-opcode
+//!   counts. A jump target reached by falling through from a plain op lies
+//!   inside the block before it: that block's entries already count the
+//!   ops they share, and the target's own block counts only the entries
+//!   that jump there.
 //!
 //! The compiled form is a cache of the wire image: semantics (including
 //! trap messages, instruction accounting, fuel, and safepoint cadence) are
@@ -109,7 +123,8 @@ pub(crate) mod op {
 /// third local slot, `k` an integer constant. `cost` is how many wire
 /// instructions this op stands for — the unit in which fuel, instruction
 /// accounting, and the 1024-instruction safepoint cadence are charged, so
-/// fusion is invisible to all three.
+/// fusion is invisible to all three. `ctr` is, on a branch op, the
+/// image-wide id of the counter its taken edge adds to.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Op {
     pub code: u8,
@@ -117,6 +132,7 @@ pub(crate) struct Op {
     pub b: u8,
     pub cost: u8,
     pub t: u16,
+    pub ctr: u16,
     pub k: i64,
 }
 
@@ -128,6 +144,7 @@ impl Op {
             b: 0,
             cost: 1,
             t: 0,
+            ctr: 0,
             k: 0,
         }
     }
@@ -139,6 +156,38 @@ fn is_branch(code: u8) -> bool {
         || (op::LT_JF..=op::NE_JF).contains(&code)
         || (op::LTI_JF..=op::NEI_JF).contains(&code)
         || matches!(code, op::ADDI_STORE_JUMP | op::SUBI_STORE_JUMP)
+}
+
+/// `true` for ops that end a basic block: branches, calls and returns.
+pub(crate) fn ends_block(code: u8) -> bool {
+    is_branch(code)
+        || matches!(
+            code,
+            op::CALL | op::CALL_NATIVE | op::RETURN | op::RETURN_VALUE
+        )
+}
+
+/// `true` for branch ops that may fall through: the conditional ones.
+pub(crate) fn is_conditional(code: u8) -> bool {
+    is_branch(code) && !never_falls_through(code)
+}
+
+/// `true` for ops after which control never falls through to the next op:
+/// unconditional jumps and returns.
+pub(crate) fn never_falls_through(code: u8) -> bool {
+    matches!(
+        code,
+        op::JUMP | op::ADDI_STORE_JUMP | op::SUBI_STORE_JUMP | op::RETURN | op::RETURN_VALUE
+    )
+}
+
+/// The index of the op that ends the block containing op `at`: the first
+/// branch, call or return at or after it.
+pub(crate) fn block_end(code: &[Op], at: usize) -> usize {
+    code[at..]
+        .iter()
+        .position(|o| ends_block(o.code))
+        .map_or(code.len() - 1, |n| at + n)
 }
 
 /// One compiled method: flat ops plus the frame geometry the arena
@@ -160,10 +209,42 @@ pub(crate) struct CompiledMethod {
     /// The verifier's operand-stack depth on entry to each op, `None` where
     /// no path reaches: what a snapshot's `sp` is validated against.
     pub entry_depth: Vec<Option<u16>>,
+    /// The basic blocks, in code order.
+    pub blocks: Box<[Block]>,
+    /// The blocks' static histograms, back to back: `(op code, count)`.
+    pub histograms: Box<[(u8, u32)]>,
+    /// Each branch op's taken edge, in code order: `(counter, index of the
+    /// target's block)`.
+    pub edges: Box<[(u16, u16)]>,
+}
+
+impl CompiledMethod {
+    /// Block `block`'s static histogram: `(op code, count)` over its ops.
+    pub(crate) fn histogram(&self, block: &Block) -> &[(u8, u32)] {
+        &self.histograms[block.histogram.0 as usize..block.histogram.1 as usize]
+    }
+}
+
+/// One basic block of a [`CompiledMethod`]: from its leader to the op that
+/// ends it (a branch, call or return).
+#[derive(Debug)]
+pub(crate) struct Block {
+    /// The op that ends the block.
+    pub end: u16,
+    /// `true` when the op before the leader ends a block (or the leader is
+    /// the method's first op): control falls into this block from there.
+    /// Blocks that do not fall in lie inside the block before them.
+    pub falls_in: bool,
+    /// The block's range in [`CompiledMethod::histograms`].
+    pub histogram: (u32, u32),
 }
 
 /// A method's ops and their entry depths.
 type Ops = (Vec<Op>, Vec<Option<u16>>);
+
+/// A method's basic blocks, their histograms, and its branch ops' taken
+/// edges.
+type BlocksAndEdges = (Box<[Block]>, Box<[(u8, u32)]>, Box<[(u16, u16)]>);
 
 /// One `CallNative` site: the resolved name plus the site's inline cache
 /// into the permission decision cache.
@@ -188,6 +269,9 @@ pub struct CompiledImage {
     by_name: HashMap<String, usize>,
     pool: Vec<Arc<str>>,
     sites: Vec<NativeSite>,
+    /// Accounting counters: one per method entry (ids `0..methods`), then
+    /// one per branch op's taken edge.
+    counters: usize,
 }
 
 impl std::fmt::Debug for CompiledImage {
@@ -197,6 +281,7 @@ impl std::fmt::Debug for CompiledImage {
             .field("methods", &self.methods.len())
             .field("pool", &self.pool.len())
             .field("sites", &self.sites.len())
+            .field("counters", &self.counters)
             .finish()
     }
 }
@@ -226,8 +311,10 @@ impl CompiledImage {
         };
         let mut methods = Vec::with_capacity(image.methods.len());
         let mut by_name: HashMap<String, usize> = HashMap::new();
+        let mut counters = image.methods.len();
         for (index, (m, fact)) in image.methods.iter().zip(&facts).enumerate() {
-            let (code, entry_depth) = compile_code(&m.code, &fact.depth_at, &mut ctx)?;
+            let (mut code, entry_depth) = compile_code(&m.code, &fact.depth_at, &mut ctx)?;
+            let (blocks, histograms, edges) = find_blocks(&mut code, &mut counters);
             let locals = u16::from(m.locals);
             methods.push(CompiledMethod {
                 qualified: Arc::from(format!("{}.{}", image.name, m.name).as_str()),
@@ -236,6 +323,9 @@ impl CompiledImage {
                 frame_size: u32::from(locals) + fact.max_stack as u32,
                 code,
                 entry_depth,
+                blocks,
+                histograms,
+                edges,
             });
             // First definition wins, matching `ClassImage::method`'s
             // first-match scan.
@@ -247,6 +337,9 @@ impl CompiledImage {
         if ctx.sites.len() > usize::from(u16::MAX) {
             return Err(limit("native call sites"));
         }
+        if counters > usize::from(u16::MAX) + 1 {
+            return Err(limit("branches"));
+        }
         let (pool, sites) = (ctx.pool, ctx.sites);
         Ok(CompiledImage {
             image,
@@ -254,6 +347,7 @@ impl CompiledImage {
             by_name,
             pool,
             sites,
+            counters,
         })
     }
 
@@ -270,7 +364,13 @@ impl CompiledImage {
         let ops: usize = self
             .methods
             .iter()
-            .map(|m| m.code.len() * std::mem::size_of::<Op>() + m.qualified.len())
+            .map(|m| {
+                m.code.len() * std::mem::size_of::<Op>()
+                    + m.qualified.len()
+                    + std::mem::size_of_val(&*m.blocks)
+                    + std::mem::size_of_val(&*m.histograms)
+                    + std::mem::size_of_val(&*m.edges)
+            })
             .sum();
         let pool: usize = self.pool.iter().map(|s| s.len()).sum();
         let sites: usize = self.sites.iter().map(|s| s.name.len()).sum();
@@ -291,6 +391,11 @@ impl CompiledImage {
 
     pub(crate) fn site(&self, index: u16) -> &NativeSite {
         &self.sites[usize::from(index)]
+    }
+
+    /// Accounting counters: method entries, then taken branch edges.
+    pub(crate) fn counter_count(&self) -> usize {
+        self.counters
     }
 
     #[cfg(test)]
@@ -412,6 +517,66 @@ fn compile_code(code: &[Insn], depth_at: &[Option<u16>], ctx: &mut Cx<'_>) -> Re
     Ok((ops, entry_depth))
 }
 
+/// Finds one method's basic blocks and gives each branch op the next
+/// counter id from `counters` for its taken edge. Ids past `u16::MAX` wrap
+/// here; `compile` rejects such images. Runs at class-define time, so it
+/// allocates only the method's own tables.
+fn find_blocks(code: &mut [Op], counters: &mut usize) -> BlocksAndEdges {
+    // Each op's block index + 1 if it leads a block, else 0.
+    let mut leads = vec![0u16; code.len()];
+    leads[0] = 1;
+    let mut branches = 0;
+    for (at, o) in code.iter().enumerate() {
+        if is_branch(o.code) {
+            leads[usize::from(o.t)] = 1;
+            branches += 1;
+        }
+        if ends_block(o.code) && at + 1 < code.len() {
+            leads[at + 1] = 1;
+        }
+    }
+    let mut blocks = Vec::with_capacity(leads.iter().filter(|&&l| l != 0).count());
+    let mut histograms: Vec<(u8, u32)> = Vec::with_capacity(code.len());
+    let mut tally = [0u32; 256];
+    let mut end = 0;
+    for at in 0..code.len() {
+        if leads[at] == 0 {
+            continue;
+        }
+        if at == 0 || at > end {
+            end = block_end(code, at);
+        }
+        let start = histograms.len();
+        for o in &code[at..=end] {
+            let n = &mut tally[usize::from(o.code)];
+            if *n == 0 {
+                histograms.push((o.code, 0));
+            }
+            *n += 1;
+        }
+        for entry in &mut histograms[start..] {
+            entry.1 = std::mem::take(&mut tally[usize::from(entry.0)]);
+        }
+        blocks.push(Block {
+            end: end as u16,
+            falls_in: at == 0 || ends_block(code[at - 1].code),
+            histogram: (start as u32, histograms.len() as u32),
+        });
+        leads[at] = blocks.len() as u16;
+    }
+    let mut edges = Vec::with_capacity(branches);
+    for o in code.iter_mut().filter(|o| is_branch(o.code)) {
+        o.ctr = *counters as u16;
+        edges.push((o.ctr, leads[usize::from(o.t)] - 1));
+        *counters += 1;
+    }
+    (
+        blocks.into_boxed_slice(),
+        histograms.into_boxed_slice(),
+        edges.into_boxed_slice(),
+    )
+}
+
 /// Decodes (and greedily fuses, longest pattern first) the instruction(s)
 /// at `pc`, returning the op and how many wire instructions it consumed.
 fn fuse(code: &[Insn], pc: usize, is_target: &[bool], ctx: &mut Cx<'_>) -> (Op, usize) {
@@ -446,6 +611,7 @@ fn fuse(code: &[Insn], pc: usize, is_target: &[bool], ctx: &mut Cx<'_>) -> (Op, 
                     b: *b,
                     cost: 5,
                     t: *t,
+                    ctr: 0,
                     k: *k,
                 },
                 5,
@@ -464,6 +630,7 @@ fn fuse(code: &[Insn], pc: usize, is_target: &[bool], ctx: &mut Cx<'_>) -> (Op, 
                         b: *b,
                         cost: 4,
                         t: 0,
+                        ctr: 0,
                         k: *k,
                     },
                     4,
@@ -477,6 +644,7 @@ fn fuse(code: &[Insn], pc: usize, is_target: &[bool], ctx: &mut Cx<'_>) -> (Op, 
                         b: *b,
                         cost: 4,
                         t: 0,
+                        ctr: 0,
                         k: *k,
                     },
                     4,
@@ -490,6 +658,7 @@ fn fuse(code: &[Insn], pc: usize, is_target: &[bool], ctx: &mut Cx<'_>) -> (Op, 
                         b: *b,
                         cost: 4,
                         t: u16::from(*c),
+                        ctr: 0,
                         k: 0,
                     },
                     4,
@@ -504,6 +673,7 @@ fn fuse(code: &[Insn], pc: usize, is_target: &[bool], ctx: &mut Cx<'_>) -> (Op, 
                             b: 0,
                             cost: 4,
                             t: *t,
+                            ctr: 0,
                             k: *k,
                         },
                         4,
@@ -530,6 +700,7 @@ fn fuse(code: &[Insn], pc: usize, is_target: &[bool], ctx: &mut Cx<'_>) -> (Op, 
                         b: *b,
                         cost: 3,
                         t: 0,
+                        ctr: 0,
                         k: 0,
                     },
                     3,
@@ -548,6 +719,7 @@ fn fuse(code: &[Insn], pc: usize, is_target: &[bool], ctx: &mut Cx<'_>) -> (Op, 
                         b: 0,
                         cost: 3,
                         t: 0,
+                        ctr: 0,
                         k: *k,
                     },
                     3,
@@ -568,6 +740,7 @@ fn fuse(code: &[Insn], pc: usize, is_target: &[bool], ctx: &mut Cx<'_>) -> (Op, 
                         b: 0,
                         cost: 2,
                         t: *t,
+                        ctr: 0,
                         k: 0,
                     },
                     2,
@@ -582,6 +755,7 @@ fn fuse(code: &[Insn], pc: usize, is_target: &[bool], ctx: &mut Cx<'_>) -> (Op, 
                     b: *b,
                     cost: 2,
                     t: 0,
+                    ctr: 0,
                     k: 0,
                 },
                 2,

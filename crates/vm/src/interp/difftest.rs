@@ -7,9 +7,12 @@
 //! fusion, frame reuse, batched accounting), so "same semantics" is not
 //! obvious from the code; this corpus makes it checked. A case diverges if
 //! the two engines differ in *any* of: the result value, the error (trap
-//! message, security denial, interruption), or the shared execution
-//! counters (`instructions`, `method_calls`, `native_calls` — `dispatches`
-//! is engine-specific by design). The corpus deliberately concentrates on
+//! message, security denial, interruption), the shared execution counters
+//! (`instructions`, `method_calls`, `native_calls` — `dispatches` is
+//! engine-specific by design), or the per-opcode counts the profiler
+//! derives from basic-block counters, checked against a per-op reference
+//! count taken from the seed's own per-instruction trace. The corpus
+//! deliberately concentrates on
 //! the rework's risk areas: traps raised *inside* fused superinstructions,
 //! fuel exhaustion at and around safepoint boundaries, call-depth limits,
 //! and native dispatch.
@@ -23,7 +26,10 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use super::image::{ClassImage, Insn, MethodImage, Value};
+use jmp_obs::Profiler;
+
+use super::compile::CompiledImage;
+use super::image::{ClassImage, Insn, MethodImage, Value, OPCODE_NAMES};
 use super::machine::{
     expected_int, InterpStats, Interpreter, NativeHost, NoNatives, INTERRUPT_CHECK_EVERY,
     MAX_CALL_DEPTH,
@@ -82,26 +88,34 @@ impl Seed {
     /// Identical to [`Interpreter::run`].
     pub fn run(&self, method: &str, args: Vec<Value>) -> Result<Value> {
         let mut budget = self.fuel;
-        self.run_method(method, args, 0, &mut budget)
+        self.run_method(method, args, 0, &mut budget, &mut ())
     }
 
-    fn run_method(
+    /// Like [`Seed::run`], reporting every wire instruction to `trace`.
+    fn run_traced(&self, method: &str, args: Vec<Value>, trace: &mut WireTrace) -> Result<Value> {
+        let mut budget = self.fuel;
+        self.run_method(method, args, 0, &mut budget, trace)
+    }
+
+    fn run_method<T: SeedTrace>(
         &self,
         method: &str,
         args: Vec<Value>,
         depth: usize,
         budget: &mut Option<u64>,
+        trace: &mut T,
     ) -> Result<Value> {
         if depth >= MAX_CALL_DEPTH {
             return Err(VmError::trap(format!(
                 "call depth exceeds {MAX_CALL_DEPTH}"
             )));
         }
-        let m = self
+        let (index, m) = self
             .image
             .methods
             .iter()
-            .find(|m| m.name == method)
+            .enumerate()
+            .find(|(_, m)| m.name == method)
             .ok_or_else(|| VmError::trap(format!("no such method: {method}")))?;
         if args.len() != usize::from(m.params) {
             return Err(VmError::trap(format!(
@@ -115,6 +129,7 @@ impl Seed {
         let mut stack: Vec<Value> = Vec::with_capacity(8);
         let mut pc: usize = 0;
         loop {
+            trace.charging(index, pc);
             let count = self.stats.instructions.fetch_add(1, Ordering::Relaxed) + 1;
             if count.is_multiple_of(INTERRUPT_CHECK_EVERY) {
                 check_interrupt()?;
@@ -125,6 +140,7 @@ impl Seed {
                 }
                 *fuel -= 1;
             }
+            trace.running(index, pc);
             // The verifier guarantees pc validity and stack discipline; the
             // underflow traps below are unreachable for verified images.
             let insn = &m.code[pc];
@@ -198,7 +214,7 @@ impl Seed {
                     self.stats.method_calls.fetch_add(1, Ordering::Relaxed);
                     let mut call_args = split_args(&mut stack, *argc)?;
                     call_args.reverse();
-                    let result = self.run_method(callee, call_args, depth + 1, budget)?;
+                    let result = self.run_method(callee, call_args, depth + 1, budget, trace)?;
                     stack.push(result);
                 }
                 Insn::CallNative { name, argc } => {
@@ -213,6 +229,120 @@ impl Seed {
             }
         }
     }
+}
+
+/// What the seed loop reports about each wire instruction; `()` reports
+/// nothing and compiles away.
+trait SeedTrace {
+    /// Wire instruction `pc` of method `method` is about to be charged.
+    fn charging(&mut self, method: usize, pc: usize);
+    /// It passed its safepoint and fuel checks and runs.
+    fn running(&mut self, method: usize, pc: usize);
+}
+
+impl SeedTrace for () {
+    #[inline(always)]
+    fn charging(&mut self, _: usize, _: usize) {}
+    #[inline(always)]
+    fn running(&mut self, _: usize, _: usize) {}
+}
+
+/// Per wire instruction run counts, and the last one charged.
+#[derive(Default)]
+struct WireTrace {
+    runs: Vec<Vec<u64>>,
+    last: (usize, usize),
+}
+
+impl SeedTrace for WireTrace {
+    fn charging(&mut self, method: usize, pc: usize) {
+        self.last = (method, pc);
+    }
+
+    fn running(&mut self, method: usize, pc: usize) {
+        self.runs[method][pc] += 1;
+    }
+}
+
+/// The reference per-opcode counts for `case`: each compiled op runs as
+/// often as the seed ran the wire instruction it starts with, less the one
+/// run that stopped inside it for fuel or an interrupt (the compiled loop
+/// charges an op's components before running it, so that op never runs
+/// there; a trap inside a fused op still counts it, as the seed ran its
+/// first component). Keyed by opcode name, zero counts omitted.
+fn reference_opcode_counts(case: &DiffCase) -> Vec<(String, u64)> {
+    let image = Arc::new(case.image.clone());
+    let seed = Seed::new(Arc::clone(&image), Arc::new(NoNatives)).expect("corpus images verify");
+    let seed = match case.fuel {
+        Some(f) => seed.with_fuel(f),
+        None => seed,
+    };
+    let mut trace = WireTrace {
+        runs: image
+            .methods
+            .iter()
+            .map(|m| vec![0; m.code.len()])
+            .collect(),
+        last: (0, 0),
+    };
+    let outcome = seed.run_traced(&case.method, case.args.clone(), &mut trace);
+    let stopped_mid_op = match &outcome {
+        Err(VmError::Interrupted) => true,
+        Err(err) => err.to_string().contains("fuel exhausted"),
+        Ok(_) => false,
+    };
+    let compiled = CompiledImage::compile(image).expect("corpus images verify");
+    let mut counts = vec![0u64; OPCODE_NAMES.len()];
+    for (mi, method) in compiled.methods().iter().enumerate() {
+        let mut wire = 0;
+        for o in &method.code {
+            let mut runs = trace.runs[mi][wire];
+            let (last_method, last_pc) = trace.last;
+            if stopped_mid_op
+                && last_method == mi
+                && (wire + 1..wire + usize::from(o.cost)).contains(&last_pc)
+            {
+                runs -= 1;
+            }
+            counts[usize::from(o.code)] += runs;
+            wire += usize::from(o.cost);
+        }
+    }
+    opcode_counts(
+        counts
+            .into_iter()
+            .enumerate()
+            .map(|(code, n)| (OPCODE_NAMES[code], n)),
+    )
+}
+
+/// A profiler's VM-wide per-opcode counts, keyed by opcode name, zero
+/// counts omitted.
+fn profiled_opcode_counts(profiler: &Profiler) -> Vec<(String, u64)> {
+    let report = profiler.report();
+    opcode_counts(
+        report
+            .vm
+            .opcodes
+            .iter()
+            .map(|o| (o.opcode.as_str(), o.count)),
+    )
+}
+
+fn opcode_counts<'a>(counts: impl Iterator<Item = (&'a str, u64)>) -> Vec<(String, u64)> {
+    let mut counts: Vec<(String, u64)> = counts
+        .filter(|&(_, n)| n > 0)
+        .map(|(name, n)| (name.to_string(), n))
+        .collect();
+    counts.sort();
+    counts
+}
+
+/// A profiler for accounting only: the corpus checks counts, not stacks.
+fn accounting_profiler() -> Profiler {
+    let profiler = Profiler::new();
+    profiler.set_sampling(false);
+    profiler
 }
 
 fn pop(stack: &mut Vec<Value>) -> Result<Value> {
@@ -824,10 +954,12 @@ fn counter_diffs((a, x): (&str, &InterpStats), (b, y): (&str, &InterpStats)) -> 
     .collect()
 }
 
-/// A fresh fast-loop interpreter for `case`, with its fuel bound.
-fn interpreter(case: &DiffCase) -> Interpreter {
+/// A fresh fast-loop interpreter for `case`, with its fuel bound, billing
+/// opcode counts to `profiler`.
+fn interpreter(case: &DiffCase, profiler: &Profiler) -> Interpreter {
     let i = Interpreter::new(Arc::new(case.image.clone()), Arc::new(NoNatives))
-        .expect("corpus images verify");
+        .expect("corpus images verify")
+        .with_profiler(profiler.clone());
     match case.fuel {
         Some(f) => i.with_fuel(f),
         None => i,
@@ -837,7 +969,8 @@ fn interpreter(case: &DiffCase) -> Interpreter {
 /// Runs one case on both engines (each fresh, so counters start equal) and
 /// returns the divergences it produced.
 pub fn run_case(case: &DiffCase) -> Vec<Divergence> {
-    let fast = interpreter(case);
+    let profiler = accounting_profiler();
+    let fast = interpreter(case, &profiler);
     let seed =
         Seed::new(Arc::new(case.image.clone()), Arc::new(NoNatives)).expect("corpus images verify");
     let seed = match case.fuel {
@@ -871,6 +1004,15 @@ pub fn run_case(case: &DiffCase) -> Vec<Divergence> {
             fast.stats().instructions()
         ));
     }
+    let (counted, reference) = (
+        profiled_opcode_counts(&profiler),
+        reference_opcode_counts(case),
+    );
+    if counted != reference {
+        diverge(format!(
+            "opcode counts: blocks {counted:?} vs per-op reference {reference:?}"
+        ));
+    }
     divergences
 }
 
@@ -895,10 +1037,12 @@ pub fn run_all() -> (usize, Vec<Divergence>) {
 /// first safepoint-aligned op boundary) never fires; the split run then
 /// degenerates to a plain run and is compared as such.
 pub fn run_case_checkpointed(case: &DiffCase, at: u64) -> Vec<Divergence> {
-    let plain = interpreter(case);
+    let plain_profiler = accounting_profiler();
+    let plain = interpreter(case, &plain_profiler);
     let plain_result = plain.run(&case.method, case.args.clone());
 
-    let first = interpreter(case).with_checkpoint_at(at);
+    let split_profiler = accounting_profiler();
+    let first = interpreter(case, &split_profiler).with_checkpoint_at(at);
     let first_result = first.run(&case.method, case.args.clone());
     // The interpreter whose outcome and counters stand for the split run:
     // the restoring one if the park fired, the first one otherwise.
@@ -910,7 +1054,8 @@ pub fn run_case_checkpointed(case: &DiffCase, at: u64) -> Vec<Divergence> {
             // Restore on a fresh interpreter, as a migration would; fuel
             // and cumulative counters travel inside the snapshot.
             let second = Interpreter::new(Arc::new(case.image.clone()), Arc::new(NoNatives))
-                .expect("corpus images verify");
+                .expect("corpus images verify")
+                .with_profiler(split_profiler.clone());
             let result = second.resume(&snap);
             (result, second)
         }
@@ -932,6 +1077,15 @@ pub fn run_case_checkpointed(case: &DiffCase, at: u64) -> Vec<Divergence> {
     }
     for detail in counter_diffs(("plain", plain.stats()), ("split", split_stats_of.stats())) {
         diverge(detail);
+    }
+    let (plain_counts, split_counts) = (
+        profiled_opcode_counts(&plain_profiler),
+        profiled_opcode_counts(&split_profiler),
+    );
+    if plain_counts != split_counts {
+        diverge(format!(
+            "opcode counts: plain {plain_counts:?} vs split {split_counts:?}"
+        ));
     }
     divergences
 }

@@ -24,10 +24,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use jmp_obs::Profiler;
+use jmp_obs::{Profiler, ThreadLoc};
 use parking_lot::Mutex;
 
-use super::compile::{op, CompiledImage, Op};
+use super::compile::{
+    block_end, is_conditional, never_falls_through, op, CompiledImage, CompiledMethod, Op,
+};
 use super::image::{ClassImage, Value, OPCODE_COUNT, OPCODE_NAMES, OPCODE_WEIGHTS};
 use crate::context::{AppContext, ResourceKind};
 use crate::error::VmError;
@@ -143,112 +145,335 @@ struct Pending {
 }
 
 /// How often the interpreter polls for interruption (in wire instructions).
-/// Doubles as the profiler's safepoint: the per-opcode tallies
-/// accumulated in [`ProfTally`] re-read the accounting switch here and
-/// are pushed to the [`Profiler`] every
-/// [`PROFILE_FLUSH_SAFEPOINTS`]th visit. The cadence is measured on the
-/// interpreter's *cumulative* instruction counter, so it is preserved
-/// across nested and repeated runs — and exactly matches the seed loop's.
+/// Doubles as the profiler's safepoint: the block counts accumulated in
+/// [`ProfTally`] re-read the accounting switch here and are pushed to the
+/// [`Profiler`] every [`PROFILE_FLUSH_SAFEPOINTS`]th visit. The cadence is
+/// measured on the interpreter's *cumulative* instruction counter, so it is
+/// preserved across nested and repeated runs — and exactly matches the
+/// seed loop's.
 pub(super) const INTERRUPT_CHECK_EVERY: u64 = 1024;
 
-/// Per-run opcode tally, flushed to the VM [`Profiler`] at safepoints.
+/// Per-run opcode accounting, flushed to the VM [`Profiler`] at
+/// safepoints.
 ///
-/// The hot dispatch loop pays one well-predicted branch per dispatched op
-/// (the array add itself is skipped while accounting is off — `active` is
-/// re-read from the profiler only at safepoints, so toggles take effect
-/// within `INTERRUPT_CHECK_EVERY` instructions). Batch wall time is
-/// apportioned
-/// across the batch's opcodes by the profiler using the installed weight
-/// model; superinstruction weights are their components' sums, so fusion
-/// does not skew attribution.
+/// The dispatch loop adds one to a counter per taken jump (the branch op's
+/// own counter) and per call (the callee's entry counter), and nothing per
+/// op. While accounting is off it holds an empty counter slice, so the
+/// add's own bounds check skips it; `active` is re-read from the profiler
+/// only at safepoints, so toggles take effect within
+/// `INTERRUPT_CHECK_EVERY` instructions. A flush walks each method that
+/// ran, in code order, and derives how often each basic block was entered:
+/// from its counters where control jumped or called in, and — where it
+/// fell in after a branch not taken, a call or a native — as the previous
+/// block's executions less its taken exits. The entries expand through
+/// each block's static histogram into exact per-opcode counts.
+///
+/// The derivation assumes that every block entered runs to its end and
+/// that every call returns. Where a run does otherwise — it starts or
+/// resumes mid-block, stops early (a trap, fuel exhaustion, an interrupt, a
+/// checkpoint park), or is flushed mid-block with calls still open — the
+/// difference is an arrival correction: extra (or fewer) arrivals at an op
+/// that no counter records. Batch wall time is apportioned across the
+/// batch's opcodes by the profiler using the installed weight model;
+/// superinstruction weights are their components' sums, so fusion does not
+/// skew attribution.
 struct ProfTally {
     profiler: Option<Profiler>,
     app: Option<u64>,
     active: bool,
-    /// Sized by the opcode byte's full range (not [`OPCODE_COUNT`]) so the
-    /// hot-path index below compiles without a bounds check; only the
-    /// first `OPCODE_COUNT` entries can ever be nonzero.
-    counts: [u64; 256],
+    /// Method entries, then taken branch edges ([`CompiledImage`]'s
+    /// counter ids); empty without a profiler.
+    counts: Vec<u64>,
+    /// Arrival corrections: `(method, op, arrivals)`, one entry per op.
+    arrivals: Vec<(usize, usize, i64)>,
+    /// Per-block entries of the method being derived (flush scratch).
+    entered: Vec<i64>,
     safepoints: u32,
     started: Instant,
 }
 
-/// The batch is pushed every Nth safepoint (4 × 1024 instructions), not
-/// at every one: `record_block`'s locks and apportionment are the
-/// dominant accounting cost, and amortizing them 4× keeps the hot-loop
-/// overhead comfortably inside the ≤5% budget. The accounting switch is
-/// still re-read at *every* safepoint, so toggle latency stays at
-/// `INTERRUPT_CHECK_EVERY` instructions.
-const PROFILE_FLUSH_SAFEPOINTS: u32 = 4;
+/// The batch is pushed every Nth safepoint (256 × 1024 instructions, about
+/// 0.2–0.4 ms of interpreted work), not at every one: `record_block`'s
+/// locks and apportionment cost about 0.7 µs, and 1.1–1.2 µs when two
+/// threads flush at once, which this cadence keeps near 0.5 % of the work
+/// between flushes. The accounting switch is still re-read at *every*
+/// safepoint, so toggle latency stays at `INTERRUPT_CHECK_EVERY`
+/// instructions; every run also flushes when it ends.
+const PROFILE_FLUSH_SAFEPOINTS: u32 = 256;
 
 impl ProfTally {
     /// Resolves the profiler: an explicit one (benches, embedding) wins,
     /// otherwise the ambient VM's. Installs the opcode name/weight model on
     /// first contact (first-wins, idempotent).
-    fn new(explicit: Option<&Profiler>) -> ProfTally {
+    fn new(explicit: Option<&Profiler>, ci: &CompiledImage) -> ProfTally {
         let profiler = explicit
             .cloned()
             .or_else(|| crate::Vm::current().map(|vm| vm.obs().profiler().clone()));
         let app = crate::thread::current_app_context().map(|ctx| ctx.app_id());
-        let active = match &profiler {
+        let (active, counts) = match &profiler {
             Some(p) => {
                 p.install_model(&OPCODE_NAMES, &OPCODE_WEIGHTS);
-                p.accounting_enabled()
+                (p.accounting_enabled(), vec![0; ci.counter_count()])
             }
-            None => false,
+            None => (false, Vec::new()),
         };
         ProfTally {
             profiler,
             app,
             active,
-            counts: [0; 256],
+            counts,
+            arrivals: Vec::new(),
+            entered: Vec::new(),
             safepoints: 0,
             started: Instant::now(),
         }
     }
 
-    /// The hot-path increment: one branch (predicted not-taken while
-    /// accounting is off) and, when active, one array add per dispatched
-    /// op. An inactive tally stays all-zero and the safepoint flush
-    /// skips it.
-    #[inline]
-    fn tally(&mut self, opcode: u8) {
+    /// The counters for the dispatch loop to add to: the real ones while
+    /// accounting is on, an empty slice while it is off.
+    fn lend_counts(&mut self) -> Vec<u64> {
         if self.active {
-            self.counts[usize::from(opcode)] += 1;
+            std::mem::take(&mut self.counts)
+        } else {
+            Vec::new()
         }
     }
 
-    /// Safepoint: re-read the accounting switch, and push the batch on
-    /// every [`PROFILE_FLUSH_SAFEPOINTS`]th visit.
-    fn at_safepoint(&mut self) {
-        if self.profiler.is_some() {
-            self.safepoints = self.safepoints.wrapping_add(1);
-            if self.safepoints.is_multiple_of(PROFILE_FLUSH_SAFEPOINTS) {
-                self.flush();
+    /// Takes back what [`ProfTally::lend_counts`] handed out.
+    fn return_counts(&mut self, counts: Vec<u64>) {
+        if !counts.is_empty() {
+            self.counts = counts;
+        }
+    }
+
+    /// Records `n` arrivals at op `at` of method `method` that no counter
+    /// sees.
+    fn arrive(&mut self, method: usize, at: usize, n: i64) {
+        match self
+            .arrivals
+            .iter()
+            .position(|&(m, op, _)| (m, op) == (method, at))
+        {
+            Some(i) => {
+                self.arrivals[i].2 += n;
+                if self.arrivals[i].2 == 0 {
+                    self.arrivals.swap_remove(i);
+                }
             }
-            self.active = self
-                .profiler
-                .as_ref()
-                .is_some_and(Profiler::accounting_enabled);
+            None => self.arrivals.push((method, at, n)),
         }
     }
 
-    /// Pushes the accumulated batch (if any) to the profiler and restarts
-    /// the batch timer.
-    fn flush(&mut self) {
-        let counts = &self.counts[..OPCODE_COUNT];
+    /// `n` arrivals at op `at` of `method` (the op being charged) and at
+    /// the return point of every open call in `frames`: the run starts
+    /// there (`n = 1`), or a batch boundary moves them from one batch to
+    /// the next.
+    fn arrive_in_flight(&mut self, method: usize, at: usize, frames: &[FrameState], n: i64) {
+        self.arrive(method, at, n);
+        for f in frames {
+            self.arrive(f.method as usize, f.pc as usize, n);
+        }
+    }
+
+    /// The run stops at op `at` of `method` with `frames` open: op `at`
+    /// ran (and trapped) if `ran`, or was stopped before running (fuel, an
+    /// interrupt, a park); nothing after it ran, and no open call returns.
+    fn leave_at(
+        &mut self,
+        ci: &CompiledImage,
+        method: usize,
+        at: usize,
+        ran: bool,
+        frames: &[FrameState],
+    ) {
+        if !self.active {
+            return;
+        }
+        if !ran {
+            self.arrive(method, at, -1);
+        } else if !never_falls_through(ci.methods()[method].code[at].code) {
+            self.arrive(method, at + 1, -1);
+        }
+        for f in frames {
+            self.arrive(f.method as usize, f.pc as usize, -1);
+        }
+    }
+
+    /// Safepoint while op `at` of `method` is being charged, with `frames`
+    /// open: re-read the accounting switch, and push the batch on every
+    /// [`PROFILE_FLUSH_SAFEPOINTS`]th visit. The batch ends before op
+    /// `at`; what is in flight moves to the next one.
+    fn at_safepoint(
+        &mut self,
+        ci: &CompiledImage,
+        method: usize,
+        at: usize,
+        frames: &[FrameState],
+    ) {
+        let Some(on) = self.profiler.as_ref().map(Profiler::accounting_enabled) else {
+            return;
+        };
+        self.safepoints = self.safepoints.wrapping_add(1);
+        if self.active && self.safepoints.is_multiple_of(PROFILE_FLUSH_SAFEPOINTS) {
+            self.arrive_in_flight(method, at, frames, -1);
+            self.flush(ci);
+            self.arrive_in_flight(method, at, frames, 1);
+        }
+        if !on {
+            self.counts.fill(0);
+            self.arrivals.clear();
+        } else if !self.active {
+            self.arrive_in_flight(method, at, frames, 1);
+        }
+        self.active = on;
+    }
+
+    /// Derives block entries, expands them into per-opcode counts, pushes
+    /// the batch (if any) to the profiler, and restarts the batch timer.
+    fn flush(&mut self, ci: &CompiledImage) {
+        if self.profiler.is_none() {
+            return;
+        }
+        let mut totals = [0i64; OPCODE_COUNT];
+        for (mi, method) in ci.methods().iter().enumerate() {
+            let ran = self.counts[mi] != 0
+                || method
+                    .edges
+                    .iter()
+                    .any(|&(c, _)| self.counts[usize::from(c)] != 0)
+                || self.arrivals.iter().any(|&(m, _, _)| m == mi);
+            if ran {
+                self.derive(mi, method, &mut totals);
+            }
+        }
+        self.counts.fill(0);
+        self.arrivals.clear();
+        debug_assert!(totals.iter().all(|&t| t >= 0), "{totals:?}");
+        let counts = totals.map(|t| t.max(0) as u64);
         if counts.iter().any(|&c| c > 0) {
             let elapsed = self.started.elapsed().as_nanos() as u64;
             if let Some(profiler) = &self.profiler {
-                profiler.record_block(self.app, counts, elapsed);
+                profiler.record_block(self.app, &counts, elapsed);
             }
-            self.counts = [0; 256];
         }
         self.started = Instant::now();
     }
 
-    fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_ref()
+    /// Adds one method's executed ops to `totals`, walking its blocks in
+    /// code order with `flow`, the entries falling into the next block.
+    fn derive(&mut self, mi: usize, method: &CompiledMethod, totals: &mut [i64; OPCODE_COUNT]) {
+        let counts = &self.counts;
+        let entered = &mut self.entered;
+        entered.clear();
+        entered.resize(method.blocks.len(), 0);
+        entered[0] = counts[mi] as i64;
+        for &(counter, target) in method.edges.iter() {
+            entered[usize::from(target)] += counts[usize::from(counter)] as i64;
+        }
+        // Corrections: each arrival runs its op to the block's end, and
+        // moves the executions of that block's end op.
+        let mut extra: Vec<(usize, i64)> = Vec::new();
+        for &(_, at, n) in self.arrivals.iter().filter(|&&(m, _, _)| m == mi) {
+            let end = block_end(&method.code, at);
+            for o in &method.code[at..=end] {
+                totals[usize::from(o.code)] += n;
+            }
+            extra.push((end, n));
+        }
+        let (mut flow, mut executions) = (0i64, 0i64);
+        for (b, block) in method.blocks.iter().enumerate() {
+            if block.falls_in {
+                entered[b] += flow;
+                executions = 0;
+            }
+            executions += entered[b];
+            for &(code, n) in method.histogram(block) {
+                totals[usize::from(code)] += entered[b] * i64::from(n);
+            }
+            if method.blocks.get(b + 1).is_none_or(|next| next.falls_in) {
+                let end = usize::from(block.end);
+                let ran = executions
+                    + extra
+                        .iter()
+                        .filter(|&&(e, _)| e == end)
+                        .map(|&(_, n)| n)
+                        .sum::<i64>();
+                let last = method.code[end];
+                flow = if never_falls_through(last.code) {
+                    0
+                } else if is_conditional(last.code) {
+                    ran - counts[usize::from(last.ctr)] as i64
+                } else {
+                    ran
+                };
+            }
+        }
+    }
+}
+
+/// Per-run frame publication for the sampling profiler: one label pushed
+/// in place per interpreted call and popped per return, into the thread's
+/// [`ThreadLoc`] slot. The slot and the label ids are resolved on the
+/// first push, so a run with sampling off resolves nothing.
+struct Frames {
+    profiler: Option<Profiler>,
+    /// The thread's profiler and slot (the label ids are interned there).
+    slot: Option<(Profiler, Arc<ThreadLoc>)>,
+    /// Each method's label id, `u32::MAX` until first pushed.
+    labels: Vec<u32>,
+    /// Frames this run pushed and has not popped.
+    pushed: usize,
+}
+
+impl Frames {
+    fn new(profiler: Option<&Profiler>) -> Frames {
+        Frames {
+            profiler: profiler.cloned(),
+            slot: None,
+            labels: Vec::new(),
+            pushed: 0,
+        }
+    }
+
+    /// Pushes `method`'s frame if sampling is on; returns whether it did
+    /// (so the matching return pops it even if sampling is off by then).
+    fn push(&mut self, ci: &CompiledImage, method: usize) -> bool {
+        if !self
+            .profiler
+            .as_ref()
+            .is_some_and(Profiler::sampling_enabled)
+        {
+            return false;
+        }
+        if self.slot.is_none() {
+            self.slot = crate::profloc::thread_slot(self.profiler.as_ref());
+            self.labels = vec![u32::MAX; ci.methods().len()];
+        }
+        let Some((profiler, slot)) = &self.slot else {
+            return false;
+        };
+        let label = &mut self.labels[method];
+        if *label == u32::MAX {
+            *label = profiler.intern(&ci.methods()[method].qualified);
+        }
+        slot.push(*label);
+        self.pushed += 1;
+        true
+    }
+
+    fn pop(&mut self) {
+        if let Some((_, slot)) = &self.slot {
+            slot.pop();
+            self.pushed -= 1;
+        }
+    }
+}
+
+impl Drop for Frames {
+    fn drop(&mut self) {
+        while self.pushed > 0 {
+            self.pop();
+        }
     }
 }
 
@@ -263,8 +488,8 @@ struct FrameState {
     method: u32,
     pc: u32,
     base: u32,
-    /// Whether the *callee* published a profloc frame (popped on return).
-    callee_guarded: bool,
+    /// Whether the *callee* pushed a profiler frame (popped on return).
+    callee_pushed: bool,
 }
 
 /// Bytes one arena slot occupies, for the `Memory` quota.
@@ -477,9 +702,9 @@ impl Interpreter {
     /// [`VmError::Interrupted`] if the thread is interrupted mid-run; plus
     /// anything the [`NativeHost`] raises.
     pub fn run(&self, method: &str, args: Vec<Value>) -> Result<Value> {
-        let mut prof = ProfTally::new(self.profiler.as_ref());
+        let mut prof = ProfTally::new(self.profiler.as_ref(), &self.compiled);
         let result = self.run_compiled(method, args, &mut prof);
-        prof.flush();
+        prof.flush(&self.compiled);
         result
     }
 
@@ -545,9 +770,9 @@ impl Interpreter {
     /// [`InterpSnapshot::validate`] against this class image; otherwise
     /// exactly [`Interpreter::run`].
     pub fn resume(&self, snap: &InterpSnapshot) -> Result<Value> {
-        let mut prof = ProfTally::new(self.profiler.as_ref());
+        let mut prof = ProfTally::new(self.profiler.as_ref(), &self.compiled);
         let result = self.resume_compiled(snap, &mut prof);
-        prof.flush();
+        prof.flush(&self.compiled);
         result
     }
 
@@ -572,7 +797,7 @@ impl Interpreter {
                 method: f.method,
                 pc: f.pc,
                 base: f.base,
-                callee_guarded: false,
+                callee_pushed: false,
             })
             .collect();
         self.exec(
@@ -614,13 +839,9 @@ impl Interpreter {
             mut pc,
             fuel: fuel_start,
         } = start;
-        let mut guards: Vec<crate::profloc::FrameGuard> = Vec::new();
         let mut code: &[Op] = &methods[mi].code;
-        if let Some(p) = prof.profiler() {
-            if p.sampling_enabled() {
-                guards.push(crate::profloc::frame_arc(&methods[mi].qualified, Some(p)));
-            }
-        }
+        let mut published = Frames::new(prof.profiler.as_ref());
+        published.push(ci, mi);
 
         // Memory governance (application-attributed runs only): charge the
         // entry slab before dispatching anything.
@@ -631,7 +852,7 @@ impl Interpreter {
             arena_bytes: arena_charged,
         });
         if let Err(err) = gov.as_mut().map_or(Ok(()), |g| g.ensure_arena(&arena)) {
-            drop(guards);
+            drop(published);
             arena.clear();
             if let Some(g) = gov {
                 g.settle_pool(arena);
@@ -686,6 +907,24 @@ impl Interpreter {
                 dispatched = 0;
             }};
         }
+        // Opcode accounting: one add per taken jump (to the branch op's
+        // counter) and per call (to the callee's entry counter); the flush
+        // derives everything else. The run's start, and for a resume its
+        // open calls, are arrivals no counter sees. `unrun` marks an op the
+        // slow path stopped before running, so the exit corrects for the
+        // right op.
+        if prof.active {
+            prof.arrive_in_flight(mi, pc, &frames, 1);
+        }
+        let mut counts = prof.lend_counts();
+        macro_rules! count {
+            ($counter:expr) => {
+                if let Some(n) = counts.get_mut(usize::from($counter)) {
+                    *n += 1;
+                }
+            };
+        }
+        let mut unrun: Option<usize> = None;
 
         let outcome: Result<Value> = 'run: loop {
             let o = code[pc];
@@ -712,6 +951,7 @@ impl Interpreter {
                 // instruction is ever half-charged in a snapshot.
                 if want_ckpt || ckpt < cost {
                     pc -= 1;
+                    unrun = Some(pc);
                     self.stats.flush_pending(&mut pending);
                     self.checkpoint_at.store(u64::MAX, Ordering::Relaxed);
                     let snap = InterpSnapshot {
@@ -753,7 +993,9 @@ impl Interpreter {
                     if until_check == 0 {
                         until_check = INTERRUPT_CHECK_EVERY;
                         self.stats.flush_pending(&mut pending);
-                        prof.at_safepoint();
+                        prof.return_counts(std::mem::take(&mut counts));
+                        prof.at_safepoint(ci, mi, pc - 1, &frames);
+                        counts = prof.lend_counts();
                         if let Err(err) = check_interrupt() {
                             trapped = Some(err);
                             break;
@@ -781,6 +1023,7 @@ impl Interpreter {
                     fuel -= 1;
                 }
                 if let Some(err) = trapped {
+                    unrun = Some(pc - 1);
                     break 'run Err(err);
                 }
                 ckpt = ckpt.saturating_sub(cost);
@@ -793,7 +1036,6 @@ impl Interpreter {
                 slack_base = slack;
             }
             dispatched += 1;
-            prof.tally(o.code);
 
             // Pop a value, leaving `Null` so the slot holds no stale Arc.
             macro_rules! pop_take {
@@ -953,15 +1195,20 @@ impl Interpreter {
                     let t = arena[sp - 1].is_truthy();
                     arena[sp - 1] = Value::Bool(!t);
                 }
-                op::JUMP => pc = usize::from(o.t),
+                op::JUMP => {
+                    pc = usize::from(o.t);
+                    count!(o.ctr);
+                }
                 op::JUMP_IF_FALSE => {
                     if !pop_take!().is_truthy() {
                         pc = usize::from(o.t);
+                        count!(o.ctr);
                     }
                 }
                 op::JUMP_IF_TRUE => {
                     if pop_take!().is_truthy() {
                         pc = usize::from(o.t);
+                        count!(o.ctr);
                     }
                 }
                 op::CALL => {
@@ -992,24 +1239,18 @@ impl Interpreter {
                     {
                         *slot = Value::Null;
                     }
-                    let callee_guarded = match prof.profiler() {
-                        Some(p) if p.sampling_enabled() => {
-                            guards.push(crate::profloc::frame_arc(&cm.qualified, Some(p)));
-                            true
-                        }
-                        _ => false,
-                    };
                     frames.push(FrameState {
                         method: mi as u32,
                         pc: pc as u32,
                         base: base as u32,
-                        callee_guarded,
+                        callee_pushed: published.push(ci, callee),
                     });
                     mi = callee;
                     base = callee_base;
                     sp = callee_base + usize::from(cm.locals);
                     code = &cm.code;
                     pc = 0;
+                    count!(o.t);
                 }
                 op::CALL_NATIVE => {
                     pending.native_calls += 1;
@@ -1048,8 +1289,8 @@ impl Interpreter {
                     match frames.pop() {
                         None => break 'run Ok(result),
                         Some(f) => {
-                            if f.callee_guarded {
-                                guards.pop();
+                            if f.callee_pushed {
+                                published.pop();
                             }
                             // The callee's base is where the caller's args
                             // started; the result lands there.
@@ -1088,6 +1329,7 @@ impl Interpreter {
                     };
                     if !cond {
                         pc = usize::from(o.t);
+                        count!(o.ctr);
                     }
                 }
                 op::EQ_JF | op::NE_JF => {
@@ -1098,6 +1340,7 @@ impl Interpreter {
                     let cond = if o.code == op::EQ_JF { eq } else { !eq };
                     if !cond {
                         pc = usize::from(o.t);
+                        count!(o.ctr);
                     }
                 }
                 op::LOAD_ADDI | op::LOAD_SUBI => {
@@ -1135,16 +1378,19 @@ impl Interpreter {
                     };
                     if !cond {
                         pc = usize::from(o.t);
+                        count!(o.ctr);
                     }
                 }
                 op::EQI_JF => {
                     if arena[base + usize::from(o.a)] != Value::Int(o.k) {
                         pc = usize::from(o.t);
+                        count!(o.ctr);
                     }
                 }
                 op::NEI_JF => {
                     if arena[base + usize::from(o.a)] == Value::Int(o.k) {
                         pc = usize::from(o.t);
+                        count!(o.ctr);
                     }
                 }
                 op::ADDI_STORE_JUMP | op::SUBI_STORE_JUMP => {
@@ -1157,6 +1403,7 @@ impl Interpreter {
                         a.wrapping_sub(o.k)
                     });
                     pc = usize::from(o.t);
+                    count!(o.ctr);
                 }
                 other => unreachable!("invalid compiled opcode {other}"),
             }
@@ -1169,7 +1416,14 @@ impl Interpreter {
         pending.dispatches += dispatched;
         pending.instructions -= trap_refund;
         self.stats.flush_pending(&mut pending);
-        drop(guards);
+        prof.return_counts(counts);
+        if outcome.is_err() {
+            match unrun {
+                Some(at) => prof.leave_at(ci, mi, at, false, &frames),
+                None => prof.leave_at(ci, mi, pc - 1, true, &frames),
+            }
+        }
+        drop(published);
         let parked = matches!(outcome, Err(VmError::Checkpointed));
         arena.clear();
         match gov {
@@ -1564,6 +1818,49 @@ mod tests {
             "two fused adds per iteration: {fused_adds}"
         );
         assert!(report.flushes >= 1);
+    }
+
+    #[test]
+    fn block_counts_match_dispatches_when_runs_stop_early_or_span_flushes() {
+        // Every dispatched op is counted exactly once: through a trap with
+        // calls open, an interrupt, flushes taken deep in a recursion, and a
+        // park and resume.
+        let counted = |profiler: &jmp_obs::Profiler| profiler.report().vm.instructions;
+        let profiler = jmp_obs::Profiler::new();
+        let fib = interp(recursive_fib())
+            .with_fuel(5_000)
+            .with_profiler(profiler.clone());
+        let err = fib.run("fib", vec![Value::Int(20)]).unwrap_err();
+        assert!(err.to_string().contains("fuel"), "{err}");
+        assert_eq!(counted(&profiler), fib.stats().dispatches());
+
+        let profiler = jmp_obs::Profiler::new();
+        let forever = interp(single(vec![Insn::Jump(0)], 0, 0)).with_profiler(profiler.clone());
+        let err = crate::thread::with_interrupted_for_test(|| forever.run("main", vec![]));
+        assert!(matches!(err, Err(VmError::Interrupted)));
+        assert_eq!(counted(&profiler), forever.stats().dispatches());
+
+        let profiler = jmp_obs::Profiler::new();
+        let deep = interp(recursive_fib()).with_profiler(profiler.clone());
+        assert_eq!(
+            deep.run("fib", vec![Value::Int(22)]).unwrap(),
+            Value::Int(17_711)
+        );
+        assert!(profiler.flushes() > 1, "flushed mid-run");
+        assert_eq!(counted(&profiler), deep.stats().dispatches());
+
+        let profiler = jmp_obs::Profiler::new();
+        let parked = interp(recursive_fib())
+            .with_profiler(profiler.clone())
+            .with_checkpoint_at(150_000);
+        assert!(matches!(
+            parked.run("fib", vec![Value::Int(20)]),
+            Err(VmError::Checkpointed)
+        ));
+        let snap = parked.take_snapshot().expect("parked");
+        assert_eq!(parked.resume(&snap).unwrap(), Value::Int(6_765));
+        assert_eq!(counted(&profiler), parked.stats().dispatches());
+        crate::profloc::clear();
     }
 
     #[test]

@@ -738,7 +738,7 @@ mod tests {
 
     #[test]
     fn owned_pipe_charges_and_drains_the_ledger() {
-        let owner = AppContext::new(1, "A", "alice", crate::GroupId(1), jmp_obs::ObsHub::new());
+        let owner = AppContext::new(1, "A", "alice", jmp_obs::ObsHub::new());
         let (w, r) = pipe_owned(16, None, None, Some(Arc::clone(&owner))).unwrap();
         assert_eq!(
             owner.ledger().get(ResourceKind::Memory),
@@ -756,7 +756,7 @@ mod tests {
 
     #[test]
     fn owned_pipe_creation_respects_the_memory_quota() {
-        let owner = AppContext::new(9, "I", "ivan", crate::GroupId(9), jmp_obs::ObsHub::new());
+        let owner = AppContext::new(9, "I", "ivan", jmp_obs::ObsHub::new());
         owner.limits().set(ResourceKind::Memory, 8);
         let err = pipe_owned(16, None, None, Some(Arc::clone(&owner))).unwrap_err();
         assert!(err.is_quota_exceeded(), "got {err:?}");
@@ -771,7 +771,7 @@ mod tests {
 
     #[test]
     fn owned_pipe_over_quota_write_fails_without_buffering() {
-        let owner = AppContext::new(2, "B", "bob", crate::GroupId(2), jmp_obs::ObsHub::new());
+        let owner = AppContext::new(2, "B", "bob", jmp_obs::ObsHub::new());
         owner.limits().set(ResourceKind::PipeBytes, 4);
         let (w, r) = pipe_owned(16, None, None, Some(Arc::clone(&owner))).unwrap();
         w.write_all(b"1234").unwrap();
@@ -788,7 +788,7 @@ mod tests {
 
     #[test]
     fn reader_close_releases_residual_charges() {
-        let owner = AppContext::new(3, "C", "carol", crate::GroupId(3), jmp_obs::ObsHub::new());
+        let owner = AppContext::new(3, "C", "carol", jmp_obs::ObsHub::new());
         let (w, r) = pipe_owned(16, None, None, Some(Arc::clone(&owner))).unwrap();
         w.write_all(b"stranded").unwrap();
         r.close();
@@ -803,7 +803,7 @@ mod tests {
 
     #[test]
     fn dropping_an_undrained_pipe_releases_charges() {
-        let owner = AppContext::new(4, "D", "dave", crate::GroupId(4), jmp_obs::ObsHub::new());
+        let owner = AppContext::new(4, "D", "dave", jmp_obs::ObsHub::new());
         let (w, r) = pipe_owned(16, None, None, Some(Arc::clone(&owner))).unwrap();
         w.write_all(b"leftover").unwrap();
         drop((w, r));

@@ -880,6 +880,9 @@ impl ThreadBuilder {
             for hook in hooks {
                 hook();
             }
+            // A joiner may drop the last handle to the VM as soon as this
+            // thread finishes, so the thread lets go of the VM first.
+            drop(vm_for_thread);
             completion.finish(panic_message);
         });
         match spawn_result {
@@ -1150,7 +1153,7 @@ mod tests {
     /// Runs `body` on a VM thread carrying an [`AppContext`] whose user is
     /// `user` — the only way a check learns who it runs for.
     fn run_as_user(vm: &Vm, user: &str, body: impl FnOnce(Vm) + Send + 'static) {
-        let ctx = AppContext::new(1, "Test", user, vm.main_group().id(), vm.obs().clone());
+        let ctx = AppContext::new(1, "Test", user, vm.obs().clone());
         vm.thread_builder()
             .app_context(ctx)
             .spawn(body)

@@ -13,7 +13,7 @@ use tests_integration::{register_app, runtime};
 /// A VM thread run by alice: the access check reads the running user from
 /// the application context the thread carries.
 fn as_alice(vm: &Vm) -> ThreadBuilder {
-    let ctx = AppContext::new(1, "Editor", "alice", vm.main_group().id(), vm.obs().clone());
+    let ctx = AppContext::new(1, "Editor", "alice", vm.obs().clone());
     vm.thread_builder().app_context(ctx)
 }
 

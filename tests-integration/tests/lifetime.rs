@@ -224,3 +224,51 @@ fn reaped_applications_are_freed() {
     assert!(stale.is_empty(), "reaped groups still listed: {stale:?}");
     rt.shutdown();
 }
+
+#[test]
+fn a_shut_down_runtime_is_freed() {
+    // Everything a runtime owns — the VM, its class material, the network,
+    // the toolkit — must go once it is shut down and every handle is
+    // dropped. A class body holds `marker`, so the marker's count tells
+    // whether the VM's class material was freed.
+    let marker = Arc::new(());
+    let rt = MpRuntime::builder()
+        .policy(policy())
+        .user("alice", "apw")
+        .gui(DispatchMode::PerApplication)
+        .build()
+        .unwrap();
+    jmp_shell::install(&rt).unwrap();
+    let held = Arc::clone(&marker);
+    register_app(&rt, "holder", move |_| {
+        let _held = &held;
+        Ok(())
+    });
+    assert_eq!(Arc::strong_count(&marker), 2);
+
+    // An editor whose Save listener holds its own window, stopped with
+    // its window closed.
+    let edit = rt
+        .launch_as("alice", "edit", &["/home/alice/doc.txt"])
+        .unwrap();
+    let toolkit = rt.toolkit().unwrap().clone();
+    assert!(Toolkit::wait_until(Duration::from_secs(5), || {
+        let threads = edit.threads();
+        toolkit.window_count() == 1
+            && threads.len() == 1
+            && threads[0].name().starts_with("awt-dispatch")
+    }));
+    edit.stop(0).unwrap();
+    edit.wait_for().unwrap();
+    assert!(Toolkit::wait_until(Duration::from_secs(5), || toolkit
+        .window_count()
+        == 0));
+
+    rt.shutdown();
+    drop((edit, toolkit, rt));
+    assert_eq!(
+        Arc::strong_count(&marker),
+        1,
+        "the shut-down runtime's VM still holds its class material"
+    );
+}

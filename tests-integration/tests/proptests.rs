@@ -332,8 +332,7 @@ fn warm_decisions_follow_the_context_user() {
     let mut warm_hits = 0;
     for seed in 0..200u64 {
         let vm = jmp_vm::Vm::builder().policy(policies[0].clone()).build();
-        let ctx =
-            jmp_vm::AppContext::new(1, "Editor", "alice", vm.main_group().id(), vm.obs().clone());
+        let ctx = jmp_vm::AppContext::new(1, "Editor", "alice", vm.obs().clone());
         let (policies, app) = (policies.clone(), Arc::clone(&ctx));
         let body = move |vm: jmp_vm::Vm| {
             let mut g = Gen::new(0x05E7_0000 + seed);
